@@ -289,8 +289,10 @@ class Simulation:
     engine:
         Scheduler backend: ``"event"`` (default, wake/sleep event-driven),
         ``"columnar"`` (event scheduler plus array-at-a-time hot paths --
-        bit-identical results, see docs/ARCHITECTURE.md), or ``"legacy"``
-        (tick-every-component reference).  ``None`` selects the default.
+        bit-identical results, see docs/ARCHITECTURE.md),
+        ``"fastforward"`` (event scheduler plus analytic collapse of
+        uniform windows), or ``"legacy"`` (tick-every-component
+        reference).  ``None`` selects the default.
 
     Every :meth:`run` builds a fresh processor (runs are independent and
     deterministic); the configuration and tuning knobs are shared.

@@ -88,7 +88,7 @@ def engine_summary(stats):
     columnar = {key[len("sim.columnar."):]: value
                 for key, value in values.items()
                 if key.startswith("sim.columnar.")}
-    if name in ("columnar", "fastforward") and columnar:
+    if name == "columnar" and columnar:
         line += (
             "; columnar: %d bursts (%d events batched, %d acks coalesced, "
             "%d scalar fallbacks)" % (

@@ -19,7 +19,6 @@ import numpy as np
 
 from repro.memory.address import channel_of, decode_channels, decode_rows
 from repro.memory.request import OP_READ, OP_WRITE, MemoryResponse
-from repro.sim.columns import maxplus_scan
 from repro.sim.engine import Component
 
 
@@ -266,7 +265,7 @@ class DRAMSystem(_MemoryEndpoint):
         reorders, each transfer occupies the channel for
         ``words * interval`` cycles, and each access pays the row-hit
         latency -- so the start schedule is the
-        :func:`~repro.sim.columns.maxplus_scan` of the releases with the
+        :func:`~repro.sim.fastforward.maxplus_scan` of the releases with the
         occupancy as the gap.  `first_is_miss` models the row-transition
         boundary: the first access pays the miss latency *and* occupies
         the channel for the extra precharge/activate cycles, after which
@@ -274,6 +273,10 @@ class DRAMSystem(_MemoryEndpoint):
         completions)`` as int64 arrays, bit-identical to stepping
         :meth:`tick` over the same single-channel traffic.
         """
+        # Function-local: repro.sim.fastforward imports repro.memory,
+        # whose package init imports this module.
+        from repro.sim.fastforward import maxplus_scan
+
         releases = np.asarray(releases, dtype=np.int64)
         if releases.size == 0:
             return releases.copy(), releases.copy()

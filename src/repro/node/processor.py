@@ -83,9 +83,10 @@ class StreamProcessor:
         self.clusters = ClusterArray(config, self.stats)
         self._pool = None
         if self.sim.columnar:
-            # Columnar wiring: a shared request pool on the uniform-memory
-            # fast path, and an upstream-quiet oracle that lets scatter-add
-            # bursts run unbounded once all AGUs have issued everything.
+            # Columnar wiring (the "columnar" scheduler only): a shared
+            # request pool on the uniform-memory fast path, and an
+            # upstream-quiet oracle that lets scatter-add bursts run
+            # unbounded once all AGUs have issued everything.
             agus = self.agus
             outs = [agu.out for agu in agus]
 
@@ -160,8 +161,8 @@ class StreamProcessor:
         end = None
         if self._fastforward is not None:
             # Analytic window collapse; None declines (observation hooks,
-            # unsupported traffic shape) and falls through to the stepped
-            # columnar engine, which is burst-exact under observation.
+            # unsupported traffic shape) and falls through to stepping the
+            # window on the event loop, exactly as the event engine would.
             end = self._fastforward.attempt()
         if end is None:
             end = self.sim.run()

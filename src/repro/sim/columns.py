@@ -120,50 +120,6 @@ def chain_prefix(op, start, operands):
     return batch_ufunc(op).accumulate(chain)[1:]
 
 
-def maxplus_scan(releases, gap, init=None):
-    """Service-start times of a single server under a (max,+) recurrence.
-
-    A pipeline stage that accepts at most one item per `gap` cycles and
-    cannot serve an item before its release cycle follows::
-
-        s[0] = max(releases[0], init + gap)
-        s[k] = max(releases[k], s[k-1] + gap)
-
-    (`init` is the start cycle of the item served *before* the window;
-    ``None`` means the server starts idle and unconstrained.)  This is a
-    max-plus prefix product, computed exactly in one vector pass by the
-    running-max identity ``s[k] = gap*k + max_{j<=k}(releases[j] - gap*j)``
-    -- pure int64 arithmetic, so the result is bit-identical to the scalar
-    fold for any cycle counts a simulation can produce.  Empty inputs
-    return an empty array (a zero-length window collapses to nothing).
-    """
-    releases = np.asarray(releases, dtype=np.int64)
-    if releases.size == 0:
-        return releases.copy()
-    gap = np.int64(gap)
-    offsets = gap * np.arange(releases.size, dtype=np.int64)
-    shifted = releases - offsets
-    if init is not None:
-        shifted[0] = max(shifted[0], np.int64(init) + gap)
-    return np.maximum.accumulate(shifted) + offsets
-
-
-def pipeline_drain(releases, issue_gap, latency, last_issue=None):
-    """Issue and completion schedule of a fixed-latency pipeline drain.
-
-    Given token release cycles (sorted ascending), an in-order pipeline
-    issuing at most one token per `issue_gap` cycles with a fixed
-    `latency`, returns ``(issues, completions)`` where ``issues`` is the
-    :func:`maxplus_scan` of the releases and ``completions = issues +
-    latency``.  `last_issue` seeds the recurrence with the pipeline's
-    final pre-window issue cycle.  This is the closed form the fast-forward
-    engine uses for the scatter-add unit's drain tail, where every
-    remaining token is known and no structural hazard can intervene.
-    """
-    issues = maxplus_scan(releases, issue_gap, init=last_issue)
-    return issues, issues + np.int64(latency)
-
-
 class AckBatch:
     """Several acknowledgements travelling as one queue entry.
 

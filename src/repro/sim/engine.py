@@ -40,17 +40,18 @@ Two schedulers implement those semantics:
     point the scalar execution would have produced it.  The engine
     services those registrations interleaved with ordinary component
     ticks, so downstream components cannot tell batched execution from
-    scalar execution.  The golden equivalence suite runs all three
-    schedulers against each other.
+    scalar execution.  The golden equivalence suite runs every scheduler
+    against the others.
 
 ``"fastforward"``
-    The columnar scheduler plus *window collapse*: when a caller proves a
+    The event scheduler plus *window collapse*: when a caller proves a
     whole span of cycles is uniform (no new arrivals, no structural
     boundary -- see :mod:`repro.sim.fastforward`), it executes the span
     analytically with max-plus recurrences and jumps the clock with
     :meth:`Simulator.collapse_window` instead of stepping at all.  Spans
-    that fail the uniformity predicate fall back to the columnar engine,
-    so equivalence is preserved unconditionally.
+    that fail the uniformity predicate step on the event loop exactly as
+    ``"event"`` would (the columnar burst paths stay off), so equivalence
+    is preserved unconditionally.
 
 Select a scheduler per :class:`Simulator` (``Simulator(scheduler=...)``),
 process-wide via the ``REPRO_SCHEDULER`` environment variable, or
@@ -180,9 +181,10 @@ class Simulator:
         back-pressure cycle in a model under development).
     scheduler:
         ``"event"`` (idle-skip, the default), ``"legacy"`` (tick every
-        component every cycle) or ``"columnar"`` (event plus timed
-        channel operations for array-at-a-time components).  ``None``
-        resolves against :data:`DEFAULT_SCHEDULER`.
+        component every cycle), ``"columnar"`` (event plus timed
+        channel operations for array-at-a-time components) or
+        ``"fastforward"`` (event plus analytic collapse of uniform
+        windows).  ``None`` resolves against :data:`DEFAULT_SCHEDULER`.
     """
 
     def __init__(self, max_cycles=200_000_000, scheduler=None):
@@ -200,9 +202,9 @@ class Simulator:
         self._active_channels = 0  # non-idle fifos + pipes
         self._processing_order = -1  # order of the component mid-tick
         #: Components consult this to enable their columnar fast paths.
-        #: The fastforward scheduler is the columnar engine plus window
-        #: collapse, so the columnar paths stay on for its fallbacks.
-        self.columnar = self.scheduler in ("columnar", "fastforward")
+        #: The fastforward scheduler is the event engine plus window
+        #: collapse: its declined windows step on the plain event loop.
+        self.columnar = self.scheduler == "columnar"
         #: Window-collapse opt-in: :mod:`repro.sim.fastforward` only
         #: attempts analytic execution when this is set.
         self.fastforward = self.scheduler == "fastforward"

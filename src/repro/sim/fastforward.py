@@ -8,9 +8,8 @@ completion, a value-token return, a head-of-line block forming or
 clearing) nothing in the model changes: every component's tick is
 provably a no-op.  The occupancy evolution of such a window is a (max,+)
 linear system, so the whole run can be executed by visiting only the
-event cycles and jumping over the frozen gaps -- the window algebra the
-columnar engine's per-burst event scheduling pays Python heap overhead
-for, computed here in one flat replay loop with no engine involvement.
+event cycles and jumping over the frozen gaps, in one flat replay loop
+with no engine involvement.
 
 :class:`PipelineFastForward` implements that as *plan-then-commit*:
 
@@ -21,8 +20,8 @@ for, computed here in one flat replay loop with no engine involvement.
    idle FU, fusable memory (no DRAM transaction in flight), no pending
    timed engine operations, no observation hooks (live probes, request
    tracing and the event tracelog read intermediate state at exact
-   cycles, so observed runs take the columnar fallback, which is
-   burst-exact).  Anything unsupported declines, mutating nothing.
+   cycles, so observed runs step on the event loop).  Anything
+   unsupported declines, mutating nothing.
 2. **Visited-cycle replay** (:meth:`_replay`): handlers replicate the
    per-component tick semantics in exact registration order (AGUs,
    memory, scatter-add unit, router) at each visited cycle; after every
@@ -38,18 +37,18 @@ for, computed here in one flat replay loop with no engine involvement.
 3. **Max-plus drain tail**: once every request has been accepted and no
    same-address chain can form, the remaining completions, acknowledge-
    ments and result write-backs are a pure (max,+) system solved in two
-   :func:`~repro.sim.columns.maxplus_scan` passes
-   (:func:`~repro.sim.columns.pipeline_drain` for the FU, one scan for
-   the memory write schedule), collapsing the longest uniform window of
-   a run -- the memory-latency shadow at the end -- without visiting it.
+   :func:`maxplus_scan` passes (:func:`pipeline_drain` for the FU, one
+   scan for the memory write schedule), collapsing the longest uniform
+   window of a run -- the memory-latency shadow at the end -- without
+   visiting it.
 4. **Commit**: only after the whole phase replayed successfully are
    counters bumped (through the same typed-metric handles the scalar
    path uses), histogram observations recorded, memory written, stream
    ops retired and the clock jumped with
    :meth:`~repro.sim.engine.Simulator.collapse_window`.  A decline at
    any point leaves the model untouched and the caller falls back to
-   ``sim.run()`` under the columnar engine, so equivalence holds
-   unconditionally.
+   ``sim.run()``, which steps the window on the event loop, so
+   equivalence holds unconditionally.
 
 Why bit-exactness holds: the replay performs the *same arithmetic in the
 same order* as the scalar model (``combine`` folds issue in FU order,
@@ -58,19 +57,66 @@ keeps strictly increasing), and every counter increment is attached to
 the same logical event.  The golden equivalence suite
 (``tests/sim/test_scheduler_equivalence.py``) pins this against the
 legacy and event engines for stats, results and metrics payloads.
+Declined windows need no argument of their own: they run the event
+engine's code, which the same suite pins to legacy.
 """
 
 from collections import deque
 from heapq import heappop
 
+import numpy as np
+
 from repro.memory.request import ATOMIC_OPS, OP_FETCH_ADD, OP_READ, OP_WRITE, combine
-from repro.sim.columns import maxplus_scan, pipeline_drain
 
 _SUPPORTED_OPS = ATOMIC_OPS | frozenset((OP_READ, OP_WRITE))
 
 #: Visited-cycle budget per window; a replay exceeding it declines and
 #: falls back to the stepping engine (which has its own deadlock bound).
 MAX_VISITED = 4_000_000
+
+
+def maxplus_scan(releases, gap, init=None):
+    """Service-start times of a single server under a (max,+) recurrence.
+
+    A pipeline stage that accepts at most one item per `gap` cycles and
+    cannot serve an item before its release cycle follows::
+
+        s[0] = max(releases[0], init + gap)
+        s[k] = max(releases[k], s[k-1] + gap)
+
+    (`init` is the start cycle of the item served *before* the window;
+    ``None`` means the server starts idle and unconstrained.)  This is a
+    max-plus prefix product, computed exactly in one vector pass by the
+    running-max identity ``s[k] = gap*k + max_{j<=k}(releases[j] - gap*j)``
+    -- pure int64 arithmetic, so the result is bit-identical to the scalar
+    fold for any cycle counts a simulation can produce.  Empty inputs
+    return an empty array (a zero-length window collapses to nothing).
+    """
+    releases = np.asarray(releases, dtype=np.int64)
+    if releases.size == 0:
+        return releases.copy()
+    gap = np.int64(gap)
+    offsets = gap * np.arange(releases.size, dtype=np.int64)
+    shifted = releases - offsets
+    if init is not None:
+        shifted[0] = max(shifted[0], np.int64(init) + gap)
+    return np.maximum.accumulate(shifted) + offsets
+
+
+def pipeline_drain(releases, issue_gap, latency, last_issue=None):
+    """Issue and completion schedule of a fixed-latency pipeline drain.
+
+    Given token release cycles (sorted ascending), an in-order pipeline
+    issuing at most one token per `issue_gap` cycles with a fixed
+    `latency`, returns ``(issues, completions)`` where ``issues`` is the
+    :func:`maxplus_scan` of the releases and ``completions = issues +
+    latency``.  `last_issue` seeds the recurrence with the pipeline's
+    final pre-window issue cycle.  This is the closed form the fast-forward
+    engine uses for the scatter-add unit's drain tail, where every
+    remaining token is known and no structural hazard can intervene.
+    """
+    issues = maxplus_scan(releases, issue_gap, init=last_issue)
+    return issues, issues + np.int64(latency)
 
 
 class PipelineFastForward:
@@ -108,7 +154,7 @@ class PipelineFastForward:
         if sim.live_probes or unit.trace is not None or unit.tracer is not None:
             return False  # observation hooks read intermediate state
         if not unit.chaining:
-            return False  # memory round-trip ablation: columnar handles it
+            return False  # memory round-trip ablation: steps on event
         timed = sim._timed
         while timed and timed[0][3] == "dead":
             heappop(timed)

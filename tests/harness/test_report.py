@@ -56,6 +56,18 @@ class TestEngineSummary:
         assert "bursts" in line
         assert "acks coalesced" in line
 
+    def test_fastforward_omits_columnar_segment(self):
+        # fastforward steps declined windows on the event loop, so a
+        # columnar segment would describe work it never does.
+        line = engine_summary({
+            "engine.scheduler_fastforward": 1,
+            "engine.cycles_executed": 10,
+            "sim.columnar.bursts": 3,
+        })
+        assert line.startswith("engine[fastforward]:")
+        assert "windows collapsed" in line
+        assert "bursts" not in line
+
     def test_columnar_dict_without_family_omits_segment(self):
         line = engine_summary({
             "engine.scheduler_columnar": 1,

@@ -8,8 +8,9 @@ equivalence contracts of the redesign:
 - combine-site ``memory`` on the degenerate crossbar is *bit-exactly*
   the legacy scalar-kwargs machine (randomized differential sweep, same
   engine on both sides so only the config spelling differs);
-- every scheduler agrees on the new modes' cycle counts, statistics and
-  results (cross-engine sweep at four nodes).
+- legacy, event and fastforward agree on the new modes' cycle counts,
+  statistics and results (cross-engine sweep at four nodes over ten
+  seeds); the columnar engine's known cached drift is a strict xfail.
 """
 
 import numpy as np
@@ -319,10 +320,37 @@ class TestDifferentialLegacyEquivalence:
         np.testing.assert_array_equal(structured[2], legacy[2])
 
 
+def _four_node_runs(topology, site, seed, engines):
+    """Cycles, model stats and result of one skewed 4-node trace per engine."""
+    rng = np.random.default_rng(seed)
+    targets = 64
+    indices = _skewed_trace(rng, 160, targets)
+    config = MachineConfig(network=NetworkConfig(
+        nodes=4, topology=topology, combine_site=site, link_bw_words=2))
+    runs = {}
+    for engine in engines:
+        with use_scheduler(engine):
+            system = MultiNodeSystem(config, address_space=targets)
+            run_ = system.scatter_add(indices, 1.0, num_targets=targets)
+        runs[engine] = run_.cycles, _strip_engine(run_.stats), run_.result
+    np.testing.assert_array_equal(
+        runs["legacy"][2], _reference(indices, 1.0, targets))
+    return runs
+
+
+def _assert_matches_legacy(runs, label):
+    cycles_ref, stats_ref, result_ref = runs["legacy"]
+    for engine, (cycles, stats, result) in runs.items():
+        assert cycles == cycles_ref, (engine, label)
+        assert stats == stats_ref, (engine, label)
+        np.testing.assert_array_equal(result, result_ref, (engine, label))
+
+
 class TestCrossEngineEquivalence:
-    """All four schedulers agree on the new fabric modes."""
+    """The schedulers agree on the new fabric modes, on every seed."""
 
     @pytest.mark.parametrize("topology,site", [
+        ("crossbar", "memory"),
         ("crossbar", "network"),
         ("crossbar", "both"),
         ("tree", "memory"),
@@ -330,35 +358,23 @@ class TestCrossEngineEquivalence:
         ("tree", "both"),
     ])
     def test_four_nodes(self, topology, site):
-        # Seed pinned to a trace where the columnar cached-multinode
-        # path's counter drift under chained congestion (a latent
-        # scheduler issue predating the fabric, visible on the legacy
-        # scalar-kwargs path too) does not trigger, so the strong
-        # full-stats contract can be asserted for every engine.
-        rng = np.random.default_rng(15)
-        targets = 64
-        indices = _skewed_trace(rng, 160, targets)
-        config = MachineConfig(network=NetworkConfig(
-            nodes=4, topology=topology, combine_site=site,
-            link_bw_words=2))
+        # Chained congestion at the home scatter-add unit on cached
+        # nodes: the case the columnar engine drifts on (see
+        # test_columnar_cached_drift).  Every other engine must match
+        # legacy exactly on every seed, not on a hand-picked one.
+        for seed in range(10):
+            runs = _four_node_runs(topology, site, seed,
+                                   ("legacy", "event", "fastforward"))
+            _assert_matches_legacy(runs, seed)
 
-        def run():
-            system = MultiNodeSystem(config, address_space=targets)
-            run_ = system.scatter_add(indices, 1.0, num_targets=targets)
-            return run_.cycles, _strip_engine(run_.stats), run_.result
-
-        runs = {}
-        for engine in ENGINES:
-            with use_scheduler(engine):
-                runs[engine] = run()
-        cycles_ref, stats_ref, result_ref = runs["legacy"]
-        np.testing.assert_array_equal(
-            result_ref, _reference(indices, 1.0, targets))
-        for engine in ENGINES[1:]:
-            cycles, stats, result = runs[engine]
-            assert cycles == cycles_ref, engine
-            assert stats == stats_ref, engine
-            np.testing.assert_array_equal(result, result_ref, engine)
+    @pytest.mark.xfail(strict=True, reason=(
+        "known columnar drift on cached multi-node runs: SAU chaining and "
+        "combining, bank hits and router HOL blocks disagree with legacy "
+        "under chained congestion (ROADMAP item 2: delete the columnar "
+        "engine)"))
+    def test_columnar_cached_drift(self):
+        runs = _four_node_runs("tree", "both", 0, ("legacy", "columnar"))
+        _assert_matches_legacy(runs, 0)
 
 
 class TestCombiningReducesHomeTraffic:

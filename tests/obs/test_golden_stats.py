@@ -45,15 +45,14 @@ class TestGoldenStats:
     def _comparable(stats):
         # Model counters are always bit-identical.  The engine's
         # self-describing bookkeeping (``engine.*``, ``sim.columnar.*``)
-        # is too under legacy/event, but the columnar engine delivers
-        # traced acknowledgements individually instead of batching them,
-        # so its own work counters legitimately shift with trace density.
-        # The fastforward engine runs on the same columnar machinery
-        # (tracing makes it decline the collapse), so the same applies.
+        # is too under legacy/event/fastforward, but the columnar engine
+        # delivers traced acknowledgements individually instead of
+        # batching them, so its own work counters legitimately shift with
+        # trace density.
         from repro.sim.engine import DEFAULT_SCHEDULER
 
         values = stats.as_dict()
-        if DEFAULT_SCHEDULER not in ("columnar", "fastforward"):
+        if DEFAULT_SCHEDULER != "columnar":
             return values
         return {name: value for name, value in values.items()
                 if not name.startswith(("engine.", "sim.columnar"))}

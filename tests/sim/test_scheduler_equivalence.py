@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from repro.api import Simulation, scatter_add_reference, simulate_scatter_add
-from repro.config import MachineConfig
+from repro.config import MachineConfig, NetworkConfig
 from repro.multinode.system import MultiNodeSystem
 from repro.sim.engine import SCHEDULERS, use_scheduler
 
@@ -277,7 +277,7 @@ class TestEngineCounters:
     def test_fastforward_declines_under_observation(self):
         # Live probes read intermediate state at exact cycles, so the
         # uniformity predicate must refuse the window and fall back to
-        # the stepped columnar engine (which is burst-exact).
+        # stepping it on the event loop.
         rng = random.Random(5)
         indices = [rng.randrange(65536) for _ in range(256)]
         config = MachineConfig.uniform(latency=256, interval=2)
@@ -289,6 +289,23 @@ class TestEngineCounters:
         assert stats["engine.windows_collapsed"] == 0
         assert stats["engine.cycles_executed"] > 0
 
+    @pytest.mark.parametrize("nodes", [1, 4], ids=["cached", "multinode"])
+    def test_fastforward_declines_onto_event_machinery(self, nodes):
+        # Cached runs never collapse, so they step start to finish.  They
+        # must do so on the event engine's code: no timed channel
+        # operations and no columnar burst counters.
+        rng = random.Random(7)
+        indices = [rng.randrange(256) for _ in range(600)]
+        config = MachineConfig(network=NetworkConfig(nodes=nodes))
+        with use_scheduler("fastforward"):
+            run_ = Simulation(config).run("scatter_add", indices, 1.0,
+                                          num_targets=256)
+        stats = run_.stats.as_dict()
+        assert stats["engine.scheduler_fastforward"] == 1
+        assert stats["engine.windows_collapsed"] == 0
+        assert stats["engine.timed_ops"] == 0
+        assert not [key for key in stats if key.startswith("sim.columnar.")]
+
     def test_schedulers_registry_is_closed(self):
         assert set(SCHEDULERS) == {"legacy", "event", "columnar",
                                    "fastforward"}
@@ -298,7 +315,7 @@ class TestMaxPlusKernels:
     """Edge cases of the closed-form (max,+) kernels."""
 
     def test_zero_length_window(self):
-        from repro.sim.columns import maxplus_scan, pipeline_drain
+        from repro.sim.fastforward import maxplus_scan, pipeline_drain
 
         empty = maxplus_scan([], 3)
         assert empty.size == 0
@@ -306,7 +323,7 @@ class TestMaxPlusKernels:
         assert issues.size == 0 and dones.size == 0
 
     def test_scan_matches_scalar_fold(self):
-        from repro.sim.columns import maxplus_scan
+        from repro.sim.fastforward import maxplus_scan
 
         rng = random.Random(23)
         for init in (None, 0, 17):
@@ -324,7 +341,7 @@ class TestMaxPlusKernels:
                 assert got.tolist() == expected
 
     def test_single_request_burst(self):
-        from repro.sim.columns import maxplus_scan, pipeline_drain
+        from repro.sim.fastforward import maxplus_scan, pipeline_drain
 
         assert maxplus_scan([42], 3).tolist() == [42]
         assert maxplus_scan([42], 3, init=41).tolist() == [44]
