@@ -27,11 +27,10 @@ Quickstart::
     print(run.result, run.cycles, run.bottlenecks()[0])
 
 :class:`ScatterRun` serializes losslessly (:meth:`ScatterRun.to_dict`,
-:meth:`ScatterRun.save` / :meth:`ScatterRun.load`), which is what the
-``repro.service`` result cache stores, and :class:`Simulation` accepts a
-plain config dict and reports its canonical job spec via
-:meth:`Simulation.describe` — together the machinery behind
-content-addressed job deduplication.
+:meth:`ScatterRun.save` / :meth:`ScatterRun.load`), so a saved run
+reloads with byte-identical metrics, and :class:`Simulation` accepts a
+plain config dict and reports its canonical spec via
+:meth:`Simulation.describe`.
 """
 
 import json
@@ -169,8 +168,8 @@ class ScatterRun:
 
         Instrumented runs (``sample_every`` / ``trace`` / ``trace_requests``)
         export their full observation.  Otherwise the payload is derived
-        from :meth:`to_dict`, the same serialized form the service result
-        cache stores — so a cached run and the live run it mirrors emit
+        from :meth:`to_dict`, the same serialized form :meth:`save`
+        writes — so a reloaded run and the live run it mirrors emit
         byte-identical metrics.json.
         """
         if self.observation is not None:
@@ -351,7 +350,7 @@ class Simulation:
         ``NetworkConfig`` with several nodes) dispatch to
         :class:`~repro.multinode.system.MultiNodeSystem` and return a
         :class:`~repro.multinode.system.MultiNodeRun` — same
-        serialization surface, so the service layer treats both alike.
+        serialization surface, so callers treat both alike.
         Only ``"scatter_add"`` is supported across nodes.
         """
         from repro.node.agu import StreamMemOp
@@ -404,7 +403,7 @@ class Simulation:
                                   base=base)
 
     def describe(self):
-        """The canonical job spec of this simulation.
+        """The canonical spec of this simulation.
 
         A plain, JSON-serializable dict naming everything that determines
         what a :meth:`run` produces and how it is executed: the full
@@ -413,9 +412,7 @@ class Simulation:
         resolves against the process default, so two processes under
         different ``REPRO_SCHEDULER`` settings describe themselves
         differently), and the observation knobs that change the payload a
-        run carries (``sample_every``, ``trace_requests``).  This is the
-        "sim" section of the ``repro.service`` wire schema and part of its
-        content-addressed cache key.
+        run carries (``sample_every``, ``trace_requests``).
         """
         from repro.sim import engine as _engine
 

@@ -10,12 +10,6 @@ Usage::
     python -m repro bench --smoke --out results/engine_bench.json
     python -m repro bench --smoke --check benchmarks/baseline.json
     python -m repro area --units 8 --entries 8
-    python -m repro serve --port 8642 --cache-dir ~/.cache/repro \
-        --log-json results/service.ndjson --baseline benchmarks/baseline.json
-    python -m repro submit --updates 4096 --range 2048
-    python -m repro submit --spec job.json --server http://host:8642
-    python -m repro slo --check --server http://host:8642
-    python -m repro top --interval 2
 
 ``run`` regenerates a paper experiment and prints its table; ``simulate``
 times a single scatter-add with the chosen implementation
@@ -24,13 +18,8 @@ latency breakdown); ``bench`` compares the event and legacy simulation
 schedulers on fixed workloads (asserting identical cycle counts) and
 writes a JSON report (``--check BASELINE`` fails on cycle-count drift
 beyond 25% or wall-time regression beyond 2x); ``area`` prints the
-die-area estimate; ``serve`` runs the simulation-as-a-service daemon
-(async job server + content-addressed result cache, see
-``repro.service``; ``--log-json`` streams NDJSON access/job logs and
-``--baseline`` arms the SLO floors); ``submit`` sends a job to a running
-daemon and prints the JSON response; ``slo`` queries ``/v1/slo``
-(``--check`` exits nonzero on a violation); ``top`` is a live terminal
-dashboard over ``/v1/metrics``.
+die-area estimate; ``compare`` sets figure 9/10 against the paper's
+published numbers.
 """
 
 import argparse
@@ -497,110 +486,6 @@ def _cmd_bench(args):
     return 0
 
 
-def _cmd_serve(args):
-    import asyncio
-
-    from repro.service.server import serve
-
-    try:
-        asyncio.run(serve(
-            args.host, args.port, args.cache_dir,
-            workers=args.workers, retries=args.retries,
-            log_path=args.log_json, baseline_path=args.baseline,
-            throughput_fraction=args.slo_throughput_fraction,
-            p99_ceiling_seconds=args.slo_p99_seconds))
-    except KeyboardInterrupt:
-        pass
-    return 0
-
-
-def _cmd_slo(args):
-    import json
-
-    from repro.service.client import Client, ServiceError
-    from repro.service.slo import render_slo
-
-    client = Client(args.server)
-    try:
-        payload = client.slo()
-    except (OSError, ServiceError) as exc:
-        print("slo: cannot reach %s: %s" % (args.server, exc),
-              file=sys.stderr)
-        return 2
-    if args.json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        print(render_slo(payload))
-    if args.check and not payload.get("ok", False):
-        return 1
-    return 0
-
-
-def _cmd_top(args):
-    from repro.service.top import run_top
-
-    frames = run_top(args.server, interval=args.interval,
-                     iterations=args.iterations,
-                     clear=False if args.no_clear else None)
-    return 0 if frames else 1
-
-
-def _submit_job_spec(args):
-    """Build the job spec from --spec FILE or the simulate-style flags."""
-    import json
-
-    if args.spec:
-        with open(args.spec) as handle:
-            return json.load(handle)
-    rng = np.random.default_rng(args.seed)
-    spec = {
-        "type": "run",
-        "op": args.op,
-        "indices": [int(i) for i in rng.integers(0, args.range,
-                                                 size=args.updates)],
-        "values": 1.0,
-        "num_targets": args.range,
-        "sim": {},
-    }
-    if args.engine:
-        spec["sim"]["engine"] = args.engine
-    if args.sample_every:
-        spec["sim"]["sample_every"] = args.sample_every
-    if args.trace_requests:
-        spec["sim"]["trace_requests"] = args.trace_requests
-    return spec
-
-
-def _cmd_submit(args):
-    import json
-
-    from repro.service.client import Client, ServiceError
-
-    client = Client(args.server)
-    spec = _submit_job_spec(args)
-    try:
-        response = client.submit(spec, wait=not args.no_wait)
-    except ServiceError as exc:
-        print("submit failed: %s" % exc, file=sys.stderr)
-        return 1
-    if args.summary and response.get("status") == "done":
-        result = response.get("result", {})
-        if result.get("kind") == "run":
-            run = result["run"]
-            print("job %s  key %s…  %s" % (
-                response["id"], response["key"][:12],
-                "cache HIT" if response["cached"] else "simulated"))
-            print("  cycles: %d  (%.3f us)  mem_refs: %d"
-                  % (run["cycles"], run["microseconds"], run["mem_refs"]))
-        else:
-            print("job %s  %s over %d points (%d cached)" % (
-                response["id"], result.get("kind"), result.get("points", 0),
-                result.get("points_cached", 0)))
-        return 0
-    print(json.dumps(response, indent=2, sort_keys=True))
-    return 0
-
-
 def _cmd_area(args):
     model = AreaModel(units=args.units,
                       combining_store_entries=args.entries)
@@ -722,85 +607,6 @@ def build_parser():
     area.add_argument("--units", type=int, default=8)
     area.add_argument("--entries", type=int, default=8)
 
-    serve = commands.add_parser(
-        "serve", help="run the simulation-as-a-service daemon")
-    serve.add_argument("--host", default="127.0.0.1")
-    serve.add_argument("--port", type=int, default=8642)
-    serve.add_argument("--cache-dir", default="results/service-cache",
-                       help="content-addressed result cache directory")
-    serve.add_argument(
-        "--workers", type=int, default=None,
-        help="persistent simulation worker processes (default: CPU "
-             "count; 0 runs jobs in-process)")
-    serve.add_argument(
-        "--retries", type=int, default=1,
-        help="per-point resubmissions tolerated when a worker dies")
-    serve.add_argument(
-        "--log-json", default=None, metavar="FILE",
-        help="append structured NDJSON access/job log lines to FILE")
-    serve.add_argument(
-        "--baseline", default=None, metavar="FILE",
-        help="bench baseline JSON defining the SLO throughput floors "
-             "(e.g. benchmarks/baseline.json; omit for observation only)")
-    serve.add_argument(
-        "--slo-throughput-fraction", type=float, default=None,
-        metavar="F",
-        help="fraction of each baseline cycles_per_second the live "
-             "service must sustain (default 0.05)")
-    serve.add_argument(
-        "--slo-p99-seconds", type=float, default=None, metavar="S",
-        help="p99 end-to-end job latency ceiling in seconds "
-             "(default: no ceiling)")
-
-    slo = commands.add_parser(
-        "slo", help="query a daemon's SLO status (optionally gate on it)")
-    slo.add_argument("--server", default="http://127.0.0.1:8642")
-    slo.add_argument("--check", action="store_true",
-                     help="exit 1 when any SLO floor or ceiling is "
-                          "violated (exit 2 when the daemon is "
-                          "unreachable)")
-    slo.add_argument("--json", action="store_true",
-                     help="print the raw /v1/slo payload instead of the "
-                          "table")
-
-    top = commands.add_parser(
-        "top", help="live terminal dashboard over a daemon's /v1/metrics")
-    top.add_argument("--server", default="http://127.0.0.1:8642")
-    top.add_argument("--interval", type=float, default=2.0,
-                     help="seconds between scrapes")
-    top.add_argument("--iterations", type=int, default=None, metavar="N",
-                     help="draw N frames then exit (default: until Ctrl-C)")
-    top.add_argument("--no-clear", action="store_true",
-                     help="never clear the screen between frames "
-                          "(sequential output, for logs and pipes)")
-
-    submit = commands.add_parser(
-        "submit", help="submit a job to a running daemon")
-    submit.add_argument("--server", default="http://127.0.0.1:8642")
-    submit.add_argument("--spec", default=None, metavar="FILE",
-                        help="JSON job spec (overrides the flags below)")
-    submit.add_argument("--op", default="scatter_add",
-                        choices=("scatter_add", "scatter_min",
-                                 "scatter_max", "scatter_mul", "fetch_add"))
-    submit.add_argument("--updates", type=int, default=4096)
-    submit.add_argument("--range", type=int, default=2048)
-    submit.add_argument("--seed", type=int, default=0)
-    submit.add_argument("--engine", default=None,
-                        choices=("event", "columnar", "legacy"))
-    submit.add_argument("--sample-every", type=int, default=0, metavar="N",
-                        help="sample timelines every N cycles (the obs "
-                             "windows stream on the job's events feed)")
-    submit.add_argument("--trace-requests", type=int, default=0,
-                        metavar="N",
-                        help="request-trace 1 in N requests; the latency "
-                             "breakdown rides along in the cached payload")
-    submit.add_argument("--no-wait", action="store_true",
-                        help="return immediately with the job id instead "
-                             "of waiting for the result")
-    submit.add_argument("--summary", action="store_true",
-                        help="print a one-line summary instead of the "
-                             "full JSON response")
-
     compare = commands.add_parser(
         "compare", help="measured vs the paper's published numbers")
     compare.add_argument("experiment",
@@ -816,10 +622,6 @@ def main(argv=None):
         "simulate": _cmd_simulate,
         "bench": _cmd_bench,
         "area": _cmd_area,
-        "serve": _cmd_serve,
-        "slo": _cmd_slo,
-        "top": _cmd_top,
-        "submit": _cmd_submit,
         "compare": _cmd_compare,
     }[args.command]
     return handler(args)

@@ -28,7 +28,7 @@ WORD_BYTES = 8
 #: Optional sub-structures that are *omitted* from the canonical form when
 #: unset (such as :attr:`MachineConfig.network`) do not require a bump:
 #: configs that never set them serialize byte-identically across schema
-#: generations, which is exactly the stability the service cache needs.
+#: generations, so their hashes stay stable.
 CONFIG_SCHEMA = "repro.config/1"
 
 

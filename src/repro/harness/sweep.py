@@ -8,10 +8,11 @@ fields to vary and a measurement function, and they return an
 the tool behind ``examples/design_space.py`` and quick what-if studies.
 
 Design points are independent simulations, so both helpers accept
-``workers=N`` to farm them out over the persistent fork executor of
-:mod:`repro.service.pool` (per-point retry when a worker dies).  Results
-are deterministic: rows always come back in the same order as
-``workers=1``, and each worker runs an identical, isolated simulation
+``workers=N`` to farm them out over a forked
+:class:`~concurrent.futures.ProcessPoolExecutor`.  Results are
+deterministic: rows always come back in the same order as ``workers=1``,
+each worker runs an identical, isolated simulation, and an exception
+raised by ``measure`` reaches the caller with its own type either way
 (the ``measure`` callable and the configs must be picklable --
 module-level functions, not closures or lambdas).
 """
@@ -27,28 +28,27 @@ def _measure_one(task):
     return measure(config)
 
 
-def _run_points(measure, configs, workers, executor=None):
+def _run_points(measure, configs, workers):
     """Measure every config, optionally across a process pool.
 
-    With `executor` (a :class:`repro.service.pool.ForkExecutor` built
-    over :func:`_measure_one`) the points run on that shared pool — how
-    the service daemon shards sweep jobs without forking per call.
-    Otherwise ``workers=N`` builds a temporary pool.  Futures are awaited
-    in submission order, so outcomes match the ``workers=1`` row order.
+    ``workers=N`` forks a temporary pool; ``map`` yields outcomes in
+    submission order, so rows match the ``workers=1`` order.  A worker
+    that dies outright surfaces as
+    :class:`~concurrent.futures.process.BrokenProcessPool`.
     """
-    if executor is not None:
-        futures = executor.map([(measure, config) for config in configs])
-        return [future.result() for future in futures]
     if workers in (None, 0, 1) or len(configs) <= 1:
         return [measure(config) for config in configs]
+    # Imported here so serial runs never load multiprocessing.
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     # Fork keeps the measure function usable without requiring it to be
     # importable under "spawn" re-import semantics on every platform.
-    from repro.service.pool import ForkExecutor
-
-    with ForkExecutor(_measure_one,
-                      workers=min(workers, len(configs))) as pool:
-        futures = pool.map([(measure, config) for config in configs])
-        return [future.result() for future in futures]
+    with ProcessPoolExecutor(
+            min(workers, len(configs)),
+            mp_context=multiprocessing.get_context("fork")) as pool:
+        return list(pool.map(_measure_one,
+                             [(measure, config) for config in configs]))
 
 
 def _assemble(points, outcomes, columns):
@@ -64,7 +64,7 @@ def _assemble(points, outcomes, columns):
 
 
 def sweep(base_config, field, values, measure, exp_id="sweep", title=None,
-          workers=None, executor=None):
+          workers=None):
     """Vary one configuration field; measure each design point.
 
     Parameters
@@ -81,16 +81,12 @@ def sweep(base_config, field, values, measure, exp_id="sweep", title=None,
     workers:
         Process count for parallel measurement; ``None``/``0``/``1`` run
         in-process.  Row order is identical either way.
-    executor:
-        An existing :class:`repro.service.pool.ForkExecutor` (built over
-        ``_measure_one``) to shard the points on, instead of a pool of
-        this call's own; takes precedence over `workers`.
     """
     values = list(values)
     points = [{field: value} for value in values]
     configs = [base_config.with_changes(**{field: value})
                for value in values]
-    outcomes = _run_points(measure, configs, workers, executor=executor)
+    outcomes = _run_points(measure, configs, workers)
     columns = [field]
     rows = _assemble(points, outcomes, columns)
     return ExperimentResult(
@@ -99,13 +95,12 @@ def sweep(base_config, field, values, measure, exp_id="sweep", title=None,
 
 
 def grid_sweep(base_config, fields, measure, exp_id="grid_sweep",
-               title=None, workers=None, executor=None):
+               title=None, workers=None):
     """Cartesian-product sweep over several configuration fields.
 
     `fields` maps field names to value iterables.  Rows appear in
-    row-major order of the given field order; ``workers`` (or a shared
-    `executor`) parallelises the measurements without changing that
-    order.
+    row-major order of the given field order; ``workers`` parallelises
+    the measurements without changing that order.
     """
     names = list(fields)
     points = [
@@ -115,7 +110,7 @@ def grid_sweep(base_config, fields, measure, exp_id="grid_sweep",
         )
     ]
     configs = [base_config.with_changes(**point) for point in points]
-    outcomes = _run_points(measure, configs, workers, executor=executor)
+    outcomes = _run_points(measure, configs, workers)
     columns = list(names)
     rows = _assemble(points, outcomes, columns)
     return ExperimentResult(

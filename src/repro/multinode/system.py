@@ -40,8 +40,8 @@ class MultiNodeRun:
     Shares the :class:`~repro.api.ScatterRun` surface — ``to_dict`` /
     ``from_dict`` / ``save`` / ``load`` round-trip exactly and
     ``write_metrics`` routes through :mod:`repro.obs.export` — so
-    multi-node jobs are servable and cacheable through ``repro.service``
-    the same way single-node runs are.
+    multi-node runs save, reload and export metrics the same way
+    single-node runs do.
     """
 
     def __init__(self, config, cycles, refs, result, stats,
@@ -127,9 +127,9 @@ class MultiNodeRun:
         """Write the machine-readable metrics.json for this run.
 
         Observed runs export their full observation; otherwise the payload
-        derives from :meth:`to_dict` — the same serialized form the
-        service result cache stores — so cached and live multi-node runs
-        emit byte-identical metrics.json.
+        derives from :meth:`to_dict` — the same serialized form
+        :meth:`save` writes — so reloaded and live multi-node runs emit
+        byte-identical metrics.json.
         """
         if self.observation is not None:
             from repro.obs.export import write_metrics
@@ -147,8 +147,8 @@ class MultiNodeRun:
 
         ``MultiNodeRun.from_dict(run.to_dict())`` round-trips exactly.
         The keys mirror :meth:`repro.api.ScatterRun.to_dict` (plus
-        ``refs``), so :func:`repro.obs.export.run_metrics_payload` and the
-        service result cache handle both run kinds identically.
+        ``refs``), so :func:`repro.obs.export.run_metrics_payload` handles
+        both run kinds identically.
         """
         gauges, histograms = self._gauges, self._histograms
         if gauges is None:

@@ -14,11 +14,7 @@ Structured measurement for the simulator, layered on the event engine:
   simulators;
 - :mod:`~repro.obs.export` -- Chrome-trace and ``metrics.json`` exporters
   plus their validators (the CI artifact gate,
-  ``python -m repro.obs.validate``);
-- :mod:`~repro.obs.telemetry` -- process-level labeled metric families
-  (:class:`TelemetryRegistry`) with Prometheus text exposition and its
-  parser/validator; the measurement layer behind the service daemon's
-  ``GET /v1/metrics`` (see :mod:`repro.service.telemetry`).
+  ``python -m repro.obs.validate``).
 
 See the "Observability" section of ``docs/ARCHITECTURE.md``.
 """
@@ -35,13 +31,6 @@ from repro.obs.export import (
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricRegistry
 from repro.obs.sampling import Timeline, TimelineSampler, gather_probes
 from repro.obs.session import Observation, ObservationScope, active, observe
-from repro.obs.telemetry import (
-    TelemetryRegistry,
-    TimeHistogram,
-    parse_prometheus_text,
-    render_prometheus,
-    validate_prometheus_text,
-)
 from repro.obs.tracing import RequestTrace, RequestTracer, Span
 
 __all__ = [
@@ -55,8 +44,6 @@ __all__ = [
     "RequestTrace",
     "RequestTracer",
     "Span",
-    "TelemetryRegistry",
-    "TimeHistogram",
     "Timeline",
     "TimelineSampler",
     "active",
@@ -64,11 +51,8 @@ __all__ = [
     "gather_probes",
     "metrics_payload",
     "observe",
-    "parse_prometheus_text",
-    "render_prometheus",
     "validate_chrome_trace",
     "validate_metrics",
-    "validate_prometheus_text",
     "write_chrome_trace",
     "write_metrics",
 ]

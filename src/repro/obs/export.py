@@ -241,9 +241,9 @@ def run_metrics_payload(run_dict):
     """Build the ``metrics.json`` payload from a serialized ScatterRun.
 
     `run_dict` is :meth:`repro.api.ScatterRun.to_dict` output — the form
-    the service result cache stores.  Producing metrics from that form
-    (rather than from live simulator objects) is what makes a cache hit's
-    metrics.json byte-identical to the live run that populated the entry.
+    :meth:`~repro.api.ScatterRun.save` writes.  Producing metrics from
+    that form (rather than from live simulator objects) is what makes a
+    reloaded run's metrics.json byte-identical to the live run it saved.
     The payload matches :func:`metrics_payload` for a single detached
     scope labelled ``"run"``.
     """

@@ -3,15 +3,11 @@
 Usage::
 
     python -m repro.obs.validate results/metrics.json results/out.trace.json
-    python -m repro.obs.validate results/service.metrics.prom
 
-Exits non-zero (with a reason on stderr) if any named file is missing or
-fails its schema check; prints one confirmation line per valid file.
-File type is detected from content, not filename: JSON payloads are
-checked as ``metrics.json`` or Chrome traces
-(:func:`repro.obs.export.validate_file`), anything else as Prometheus
-text exposition (:func:`repro.obs.telemetry.validate_prometheus_text`,
-the format ``GET /v1/metrics`` serves).
+Exits non-zero (with a reason on stderr) if any named file is missing,
+is not JSON, or fails its schema check; prints one confirmation line per
+valid file.  Each payload is checked as ``metrics.json`` or a Chrome
+trace by :func:`repro.obs.export.validate_file`.
 
 ``metrics.json`` validation includes the cross-counter invariants the
 simulator must conserve -- currently the network flow-conservation law
@@ -20,22 +16,9 @@ simulator must conserve -- currently the network flow-conservation law
 metrics payload is caught by this gate, not only by pinned tests.
 """
 
-import json
 import sys
 
-from repro.obs.export import validate_file as _validate_json_file
-from repro.obs.telemetry import validate_prometheus_text
-
-
-def validate_file(path):
-    """Validate one artifact by content; returns its detected kind."""
-    try:
-        return _validate_json_file(path)
-    except json.JSONDecodeError:
-        pass
-    with open(path) as handle:
-        validate_prometheus_text(handle.read())
-    return "prometheus"
+from repro.obs.export import validate_file
 
 
 def main(argv=None):

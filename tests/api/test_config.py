@@ -104,7 +104,7 @@ class TestPresets:
 
 
 class TestSerialization:
-    """to_dict / from_dict / canonical_hash (the service cache key)."""
+    """to_dict / from_dict / canonical_hash."""
 
     def test_to_dict_covers_every_field_sorted(self):
         config = MachineConfig.table1()
@@ -216,7 +216,7 @@ class TestNetworkConfig:
 
     def test_hash_stable_for_configs_without_network(self):
         # Pinned digest: adding the NetworkConfig field must not churn
-        # service cache keys of configs that never set it.
+        # the hashes of configs that never set it.
         base = MachineConfig.table1()
         assert "network" not in base.to_dict()
         legacy = MachineConfig(nodes=4, network_bw_words=1)

@@ -1,7 +1,7 @@
 """Serializable Simulation API: run round-trips, dict configs, shims.
 
-Pins the contracts the service layer is built on: a serialized
-:class:`ScatterRun` round-trips exactly, cached and live runs emit
+Pins the serialization contracts: a serialized
+:class:`ScatterRun` round-trips exactly, reloaded and live runs emit
 byte-identical ``metrics.json``, :class:`Simulation` accepts plain dict
 configs and describes itself canonically, and every deprecated entry
 point funnels through the single ``repro._compat`` warning path.
@@ -91,7 +91,7 @@ class TestRunRoundTrip:
 
 class TestMetricsIdentity:
     def test_loaded_run_emits_identical_metrics(self, run, tmp_path):
-        """A cache hit writes the same metrics.json the miss would."""
+        """A reloaded run writes the same metrics.json the live one did."""
         live = tmp_path / "live.json"
         cached = tmp_path / "cached.json"
         run.write_metrics(live)

@@ -1,5 +1,8 @@
 """Tests for the design-space sweep utilities."""
 
+import os
+from concurrent.futures.process import BrokenProcessPool
+
 import pytest
 
 from repro.config import MachineConfig
@@ -13,11 +16,19 @@ def fake_measure(config):
 
 def cycles_measure(config):
     """Module-level (picklable) measurement for the worker-pool tests."""
-    from repro.api import simulate_scatter_add
+    from repro.api import Simulation
 
     trace = [(17 * i) % 64 for i in range(128)]
-    run = simulate_scatter_add(trace, 1.0, num_targets=64, config=config)
+    run = Simulation(config).run("scatter_add", trace, 1.0, num_targets=64)
     return {"cycles": run.cycles}
+
+
+def failing_measure(config):
+    raise ValueError("boom %d" % config.fu_latency)
+
+
+def dying_measure(config):
+    os._exit(17)
 
 
 class TestSweep:
@@ -107,3 +118,24 @@ class TestParallelSweep:
         result = sweep(MachineConfig.table1(), "fu_latency", (3,),
                        fake_measure, workers=4)
         assert result.rows == [{"fu_latency": 3, "latency_product": 24}]
+
+    def test_uniform_memory_rows_identical_to_serial(self):
+        base = MachineConfig.uniform()
+        serial = sweep(base, "uniform_latency", [8, 16], cycles_measure)
+        parallel = sweep(base, "uniform_latency", [8, 16], cycles_measure,
+                         workers=2)
+        assert parallel.rows == serial.rows
+
+    def test_measure_error_keeps_its_type(self):
+        # Same exception as the serial path, not a wrapped RuntimeError.
+        with pytest.raises(ValueError, match="boom 1"):
+            sweep(MachineConfig.table1(), "fu_latency", (1, 2),
+                  failing_measure, workers=2)
+        with pytest.raises(ValueError, match="boom 1"):
+            sweep(MachineConfig.table1(), "fu_latency", (1, 2),
+                  failing_measure, workers=1)
+
+    def test_dead_worker_raises_instead_of_hanging(self):
+        with pytest.raises(BrokenProcessPool):
+            sweep(MachineConfig.table1(), "fu_latency", (1, 2),
+                  dying_measure, workers=2)

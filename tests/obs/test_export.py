@@ -232,6 +232,12 @@ class TestValidatorCli:
         bad.write_text(json.dumps({"traceEvents": [{"ph": "i"}]}))
         assert validate_main([str(bad)]) != 0
 
+    def test_non_json_file_is_invalid(self, tmp_path, capsys):
+        text = tmp_path / "metrics.prom"
+        text.write_text("# TYPE repro_ok_total counter\nrepro_ok_total 1\n")
+        assert validate_main([str(text)]) == 1
+        assert capsys.readouterr().err.startswith("INVALID " + str(text))
+
 
 class TestAmbientObservation:
     def test_observe_collects_scopes_from_deep_construction(self, rng):
