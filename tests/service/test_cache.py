@@ -1,97 +1,71 @@
-"""Content-addressed result cache: atomicity and corruption recovery."""
+"""Saved runs (``ScatterRun.save``/``load``): exact round trip and
+loud rejection of damaged files."""
 
 import json
 import os
 
 import pytest
 
-from repro.service.cache import CACHE_SCHEMA, ResultCache
-
-KEY = "ab" + "0" * 62
-OTHER = "cd" + "1" * 62
-PAYLOAD = {"schema": "repro.run/1", "cycles": 42, "result": [1.0, 2.0]}
-JOB = {"type": "run", "op": "scatter_add"}
+from repro.api import RUN_SCHEMA, ScatterRun, Simulation
+from repro.config import MachineConfig
 
 
 @pytest.fixture
-def cache(tmp_path):
-    return ResultCache(tmp_path / "cache")
+def run():
+    return Simulation(MachineConfig.uniform()).run(
+        "scatter_add", [1, 2, 2, 3], 1.0, num_targets=5)
+
+
+@pytest.fixture
+def path(tmp_path):
+    return tmp_path / "run.json"
 
 
 class TestRoundTrip:
-    def test_miss_then_hit(self, cache):
-        assert cache.get(KEY) is None
-        cache.put(KEY, JOB, PAYLOAD)
-        assert cache.get(KEY) == PAYLOAD
-        assert cache.stats() == {"hits": 1, "misses": 1, "corrupt": 0}
+    def test_miss_then_hit(self, run, path):
+        with pytest.raises(FileNotFoundError):
+            ScatterRun.load(path)
+        run.save(path)
+        assert ScatterRun.load(path).to_dict() == run.to_dict()
 
-    def test_fanout_layout(self, cache):
-        path = cache.put(KEY, JOB, PAYLOAD)
-        assert path == os.path.join(cache.root, KEY[:2], KEY + ".json")
-        assert KEY in cache
-        assert OTHER not in cache
-        assert len(cache) == 1
-
-    def test_entry_records_schema_key_and_job(self, cache):
-        with open(cache.put(KEY, JOB, PAYLOAD)) as handle:
+    def test_entry_records_schema_key_and_job(self, run, path):
+        with open(run.save(path)) as handle:
             entry = json.load(handle)
-        assert entry == {"schema": CACHE_SCHEMA, "key": KEY, "job": JOB,
-                         "payload": PAYLOAD}
+        assert entry["schema"] == RUN_SCHEMA
+        assert entry == run.to_dict()
+        config = MachineConfig.from_dict(entry["config"])
+        assert config.canonical_hash() == run.config.canonical_hash()
 
-    def test_put_is_idempotent_and_leaves_no_temp_files(self, cache):
-        cache.put(KEY, JOB, PAYLOAD)
-        cache.put(KEY, JOB, PAYLOAD)
-        assert len(cache) == 1
-        leftovers = [name for _, __, files in os.walk(cache.root)
-                     for name in files if not name.endswith(".json")]
-        assert leftovers == []
+    def test_put_is_idempotent_and_leaves_no_temp_files(self, run, path):
+        run.save(path)
+        first = path.read_bytes()
+        run.save(path)
+        assert path.read_bytes() == first
+        assert os.listdir(path.parent) == [path.name]
 
 
 class TestCorruption:
-    """Malformed entries are detected, quarantined and recomputed."""
+    """Damaged files raise ValueError instead of loading a wrong run."""
 
-    def _assert_quarantined(self, cache):
-        assert cache.get(KEY) is None
-        assert cache.corrupt == 1
-        assert not os.path.exists(cache.path(KEY))
-        # The caller recomputes and rewrites; the entry serves again.
-        cache.put(KEY, JOB, PAYLOAD)
-        assert cache.get(KEY) == PAYLOAD
+    def test_truncated_entry(self, run, path):
+        blob = run.save(path).read_text()
+        path.write_text(blob[: len(blob) // 2])
+        with pytest.raises(ValueError):
+            ScatterRun.load(path)
 
-    def test_truncated_entry(self, cache):
-        path = cache.put(KEY, JOB, PAYLOAD)
-        with open(path) as handle:
-            blob = handle.read()
-        with open(path, "w") as handle:
-            handle.write(blob[: len(blob) // 2])
-        self._assert_quarantined(cache)
+    def test_garbage_bytes(self, path):
+        path.write_bytes(b"\x00\xff not json")
+        with pytest.raises(ValueError):
+            ScatterRun.load(path)
 
-    def test_garbage_bytes(self, cache):
-        path = cache.put(KEY, JOB, PAYLOAD)
-        with open(path, "wb") as handle:
-            handle.write(b"\x00\xff not json")
-        self._assert_quarantined(cache)
+    def test_wrong_schema_tag(self, run, path):
+        entry = run.to_dict()
+        entry["schema"] = "repro.run/999"
+        path.write_text(json.dumps(entry))
+        with pytest.raises(ValueError, match="schema"):
+            ScatterRun.load(path)
 
-    def test_wrong_schema_tag(self, cache):
-        path = cache.put(KEY, JOB, PAYLOAD)
-        with open(path) as handle:
-            entry = json.load(handle)
-        entry["schema"] = "repro.cache-entry/999"
-        with open(path, "w") as handle:
-            json.dump(entry, handle)
-        self._assert_quarantined(cache)
-
-    def test_misfiled_entry(self, cache):
-        """An entry whose recorded key disagrees with its address."""
-        cache.put(OTHER, JOB, PAYLOAD)
-        os.makedirs(os.path.dirname(cache.path(KEY)), exist_ok=True)
-        os.rename(cache.path(OTHER), cache.path(KEY))
-        self._assert_quarantined(cache)
-
-    def test_non_dict_payload(self, cache):
-        path = cache.path(KEY)
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        with open(path, "w") as handle:
-            json.dump({"schema": CACHE_SCHEMA, "key": KEY,
-                       "payload": [1, 2]}, handle)
-        self._assert_quarantined(cache)
+    def test_non_dict_payload(self, path):
+        path.write_text(json.dumps([1, 2]))
+        with pytest.raises(ValueError, match="schema"):
+            ScatterRun.load(path)
