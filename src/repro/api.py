@@ -286,12 +286,12 @@ class Simulation:
         lifecycle trace (see :mod:`repro.obs.tracing`); the attribution
         table is available via :meth:`ScatterRun.latency_breakdown`.
     engine:
-        Scheduler backend: ``"event"`` (default, wake/sleep event-driven),
-        ``"columnar"`` (event scheduler plus array-at-a-time hot paths --
-        bit-identical results, see docs/ARCHITECTURE.md),
-        ``"fastforward"`` (event scheduler plus analytic collapse of
-        uniform windows), or ``"legacy"`` (tick-every-component
-        reference).  ``None`` selects the default.
+        Scheduler backend: ``"event"`` (default: wake/sleep event-driven,
+        plus analytic collapse of uniform windows), ``"columnar"`` (event
+        scheduler plus array-at-a-time hot paths -- bit-identical results,
+        see docs/ARCHITECTURE.md) or ``"legacy"`` (tick-every-component
+        reference); ``"fastforward"`` is an alias of ``"event"``.
+        ``None`` selects the default.
 
     Every :meth:`run` builds a fresh processor (runs are independent and
     deterministic); the configuration and tuning knobs are shared.

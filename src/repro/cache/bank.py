@@ -99,7 +99,9 @@ class CacheBank(Component):
         self.req_in = sim.fifo(capacity=8, name=name + ".req_in")
         self.fill_in = sim.fifo(capacity=None, name=name + ".fill_in")
 
-        self._sets = [OrderedDict() for _ in range(self.sets)]  # line_idx -> _Line
+        # Sets are allocated on first use: most runs touch few of them,
+        # and building them all dominated machine construction.
+        self._sets = [None] * self.sets  # OrderedDict line_idx -> _Line
         self._mshrs = {}  # line_idx -> list of waiting MemoryRequest
         self._mshr_issue = deque()  # fills not yet accepted by mem_req_out
         self._evict_retry = deque()  # (line, kind) blocked write-backs/sum-backs
@@ -118,8 +120,8 @@ class CacheBank(Component):
         Pending MSHRs, unissued fills, blocked evictions, queued responses
         or an in-progress flush all make the next cycles depend on future
         arbitration; resident lines (clean or dirty) are pure history and
-        do not disqualify a window.  The fast-forward engine consults this
-        before collapsing a window on the cached topology.
+        do not disqualify a window.  Kept for collapsing all-hit cached
+        windows; the fast-forward declines every cached topology today.
         """
         return (self.req_in.idle and self.fill_in.idle
                 and not self._mshrs and not self._mshr_issue
@@ -130,7 +132,11 @@ class CacheBank(Component):
     # set bookkeeping
     # ------------------------------------------------------------------ #
     def _set_of(self, line_idx):
-        return self._sets[(line_idx // self._bank_stride) % self.sets]
+        index = (line_idx // self._bank_stride) % self.sets
+        lines = self._sets[index]
+        if lines is None:
+            lines = self._sets[index] = OrderedDict()
+        return lines
 
     def _lookup(self, line_idx):
         lines = self._set_of(line_idx)
@@ -452,7 +458,7 @@ class CacheBank(Component):
 
     @property
     def resident_lines(self):
-        return sum(len(lines) for lines in self._sets)
+        return sum(map(len, filter(None, self._sets)))
 
     @property
     def has_combining_state(self):
@@ -461,7 +467,7 @@ class CacheBank(Component):
         Hierarchical combining needs multiple flush waves: flushing one
         node's deltas deposits new deltas at intermediate tree nodes.
         """
-        for lines in self._sets:
+        for lines in filter(None, self._sets):
             for line in lines.values():
                 if line.combining and line.any_dirty:
                     return True
@@ -482,7 +488,7 @@ class CacheBank(Component):
         are written back.  This models an instantaneous flush and is only
         used to inspect final memory contents after a run.
         """
-        for lines in self._sets:
+        for lines in filter(None, self._sets):
             for line in lines.values():
                 for offset, dirty in enumerate(line.dirty):
                     if not dirty:

@@ -285,10 +285,11 @@ BENCH_WALL_SLACK = 0.05  # seconds
 
 #: Version of the bench report layout.  Bumped whenever the schema or the
 #: timing protocol changes incompatibly (2: median-of-N timing with a
-#: warm-up pass, recorded engine list, per-workload speedup floors), so a
-#: stale committed baseline fails ``--check`` loudly instead of silently
-#: comparing incomparable numbers.
-BENCH_SCHEMA = "repro.bench/2"
+#: warm-up pass, recorded engine list, per-workload speedup floors; 3: the
+#: floor compares event against its stepping loop), so a stale committed
+#: baseline fails ``--check`` loudly instead of silently comparing
+#: incomparable numbers.
+BENCH_SCHEMA = "repro.bench/3"
 
 
 def check_bench_regression(results, baseline,
@@ -305,9 +306,10 @@ def check_bench_regression(results, baseline,
     workload fails when its cycle count moved more than
     `cycle_tolerance` (fractional, either direction) or its median wall
     time exceeds `wall_factor` times the baseline plus `wall_slack`
-    seconds.  A baseline entry carrying ``min_fastforward_speedup``
+    seconds.  A baseline entry carrying ``min_collapse_speedup``
     additionally enforces that floor on the run's measured
-    ``fastforward_speedup`` (the fig11 acceptance gate).  Workloads
+    ``collapse_speedup``, event over its stepping loop (the fig11
+    window-collapse gate).  Workloads
     present on only one side are reported but do not fail the check, so
     adding a bench case does not require regenerating the baseline in
     the same change -- but a stale baseline *file* (missing or mismatched
@@ -369,11 +371,11 @@ def check_bench_regression(results, baseline,
                     "(> %.1fx slower, from %s)"
                     % (name, scheduler, wall, base_wall, wall_factor,
                        baseline_label))
-        floor = base.get("min_fastforward_speedup")
-        speedup = entry.get("fastforward_speedup")
+        floor = base.get("min_collapse_speedup")
+        speedup = entry.get("collapse_speedup")
         if floor is not None and speedup is not None and speedup < floor:
             failures.append(
-                "%s[fastforward vs event]: fastforward speedup %.2fx "
+                "%s[event vs stepping]: window-collapse speedup %.2fx "
                 "below the %.1fx floor (from %s)"
                 % (name, speedup, floor, baseline_label))
     for name in base_workloads:
@@ -388,7 +390,7 @@ def _cmd_bench(args):
     import statistics
     import time
 
-    from repro.sim.engine import SCHEDULERS, use_scheduler
+    from repro.sim.engine import _stepping, use_scheduler
 
     if args.repeats < 1:
         raise SystemExit("bench: --repeats must be at least 1 "
@@ -396,9 +398,9 @@ def _cmd_bench(args):
     engines = {
         "event": ("event",),
         "columnar": ("columnar",),
-        "fastforward": ("fastforward",),
         "both": ("event", "columnar"),
-        "all": SCHEDULERS,
+        # "stepping" is event with window collapse switched off.
+        "all": ("event", "legacy", "columnar", "stepping"),
     }[args.engine]
     # Flags the user leaves unset fall back to the bench's default
     # multi-node case (radix-4 tree, 8 nodes, combining everywhere).
@@ -410,7 +412,8 @@ def _cmd_bench(args):
     for name, runner in _bench_workloads(args.smoke, network=network):
         entry = {}
         for scheduler in engines:
-            with use_scheduler(scheduler):
+            with (_stepping() if scheduler == "stepping"
+                  else use_scheduler(scheduler)):
                 # One untimed warm-up run absorbs import, allocator and
                 # cache-warming costs; the median of the timed reps then
                 # gates --check instead of a single noisy extreme.
@@ -440,10 +443,10 @@ def _cmd_bench(args):
             entry["columnar_speedup"] = (
                 entry["columnar"]["cycles_per_second"]
                 / entry["event"]["cycles_per_second"])
-        if "event" in entry and "fastforward" in entry:
-            entry["fastforward_speedup"] = (
-                entry["fastforward"]["cycles_per_second"]
-                / entry["event"]["cycles_per_second"])
+        if "event" in entry and "stepping" in entry:
+            entry["collapse_speedup"] = (
+                entry["event"]["cycles_per_second"]
+                / entry["stepping"]["cycles_per_second"])
         results["workloads"][name] = entry
         cells = ["%-18s %8d cycles" % (name, entry[engines[0]]["cycles"])]
         cells.extend("%s %8.0f cyc/s" % (s, entry[s]["cycles_per_second"])
@@ -452,9 +455,8 @@ def _cmd_bench(args):
             cells.append("event/legacy %.2fx" % entry["speedup"])
         if "columnar_speedup" in entry:
             cells.append("columnar/event %.2fx" % entry["columnar_speedup"])
-        if "fastforward_speedup" in entry:
-            cells.append("fastforward/event %.2fx"
-                         % entry["fastforward_speedup"])
+        if "collapse_speedup" in entry:
+            cells.append("event/stepping %.2fx" % entry["collapse_speedup"])
         print("  ".join(cells))
     out = pathlib.Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -587,10 +589,11 @@ def build_parser():
                        help="small inputs for CI (seconds, not minutes)")
     bench.add_argument(
         "--engine", default="all",
-        choices=("event", "columnar", "fastforward", "both", "all"),
+        choices=("event", "columnar", "both", "all"),
         help="which engines to time: a single engine, 'both' "
-             "(event+columnar), or 'all' (every registered scheduler, "
-             "legacy reference included)")
+             "(event+columnar), or 'all' (every scheduler, legacy "
+             "reference included, plus 'stepping': event without window "
+             "collapse)")
     bench.add_argument("--repeats", type=int, default=3,
                        help="timed repetitions per case after one warm-up "
                             "run (the median is kept)")

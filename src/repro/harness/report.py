@@ -49,7 +49,8 @@ def engine_summary(stats):
     the counters recorded by ``Stats.record_engine``.  Returns ``""`` when
     no engine counters are present (e.g. a run that never called it).
 
-    Under the columnar engine a second segment reports the
+    Under the event engine a second segment counts the uniform windows
+    collapsed analytically; under the columnar engine it reports the
     ``sim.columnar.*`` batching family: bursts executed, per-cycle events
     folded into them, acknowledgements coalesced, and how many ticks fell
     back to the exact scalar path.
@@ -65,9 +66,7 @@ def engine_summary(stats):
     idle_ticks = engine.get("ticks_skipped", 0)
     total_cycles = executed + skipped_cycles
     total_ticks = ticks + idle_ticks
-    if engine.get("scheduler_fastforward"):
-        name = "fastforward"
-    elif engine.get("scheduler_columnar"):
+    if engine.get("scheduler_columnar"):
         name = "columnar"
     elif engine.get("scheduler_event"):
         name = "event"
@@ -82,7 +81,7 @@ def engine_summary(stats):
             100.0 * idle_ticks / total_ticks if total_ticks else 0.0,
         )
     )
-    if name == "fastforward":
+    if name == "event":
         line += "; %d uniform windows collapsed analytically" % (
             engine.get("windows_collapsed", 0),)
     columnar = {key[len("sim.columnar."):]: value

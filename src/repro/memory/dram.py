@@ -242,19 +242,6 @@ class DRAMSystem(_MemoryEndpoint):
             wake = now + 1
         return wake
 
-    def uniform_window_ready(self):
-        """True when no DRAM state can perturb a uniform window.
-
-        Any queued, transiting or blocked transaction -- or a pending
-        response retry -- means service order still depends on future
-        cycle-by-cycle arbitration, so a fast-forward window may not
-        start.  (Channel ``free_at`` marks and open rows are pure
-        history: they constrain the *next* transaction analytically and
-        do not disqualify a window.)
-        """
-        return (self.req_in.idle and not self._due and not self._retry
-                and not any(self._channel_queues))
-
     def open_row_burst(self, releases, words=1, first_is_miss=False,
                        free_at=0):
         """Closed-form FR-FCFS service of a same-row burst on one channel.

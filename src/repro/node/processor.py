@@ -106,10 +106,6 @@ class StreamProcessor:
             for unit in self.memsys.units:
                 unit.attach_columnar(upstream_quiet=upstream_quiet,
                                      pool=self._pool)
-        self._fastforward = None
-        if self.sim.fastforward and config.memory_model == "uniform":
-            self._fastforward = PipelineFastForward(
-                self.sim, config, self.agus, self.memsys)
         if self.obs_scope is not None:
             self.obs_scope.install_sampler()
 
@@ -159,11 +155,12 @@ class StreamProcessor:
             agu_load[agu] += 1
         start = self.sim.cycle
         end = None
-        if self._fastforward is not None:
-            # Analytic window collapse; None declines (observation hooks,
-            # unsupported traffic shape) and falls through to stepping the
-            # window on the event loop, exactly as the event engine would.
-            end = self._fastforward.attempt()
+        if self.sim._collapse and self.config.memory_model == "uniform":
+            # The event engine's analytic window collapse; None declines
+            # (observation hooks, unsupported traffic shape) and the
+            # window steps on the event loop instead.
+            end = PipelineFastForward(
+                self.sim, self.config, self.agus, self.memsys).attempt()
         if end is None:
             end = self.sim.run()
         self.stats.record_engine(self.sim)

@@ -11,7 +11,7 @@ channels connecting them.  Semantically each simulated cycle:
 The run terminates when every component reports idle and every channel is
 empty, or when an explicit cycle bound is reached.
 
-Two schedulers implement those semantics:
+Three schedulers implement those semantics:
 
 ``"legacy"``
     The literal loop above (:meth:`Simulator.step_all`): every component
@@ -26,32 +26,26 @@ Two schedulers implement those semantics:
     scheduler ticks *everything every cycle*, an extra wake is always
     harmless; only a skipped tick could diverge, and a component is only
     skipped when its tick is provably a no-op (no state change, no stats,
-    no pushes).  The golden equivalence suite
-    (``tests/sim/test_scheduler_equivalence.py``) enforces bit-identical
-    cycle counts, stats and results between the two schedulers.
+    no pushes).  It also *collapses uniform windows*: when a caller proves
+    a span of cycles uniform (see :mod:`repro.sim.fastforward`), it
+    executes the span with max-plus recurrences and jumps the clock with
+    :meth:`Simulator.collapse_window`; declined spans step as above.  The
+    golden equivalence suite (``tests/sim/test_scheduler_equivalence.py``)
+    pins cycles, stats and results to legacy with and without collapse.
 
 ``"columnar"``
-    The event scheduler plus *timed channel operations*: a batching
-    component may compute many cycles of its own deterministic future in
-    a single tick (array-at-a-time, see :mod:`repro.sim.columns`) as long
-    as every externally observable effect -- a push into a channel, the
-    capacity/wake bookkeeping of a pop, a functional memory apply -- is
-    registered with the engine at the exact ``(cycle, component order)``
-    point the scalar execution would have produced it.  The engine
-    services those registrations interleaved with ordinary component
-    ticks, so downstream components cannot tell batched execution from
-    scalar execution.  The golden equivalence suite runs every scheduler
-    against the others.
+    The event scheduler without window collapse, plus *timed channel
+    operations*: a batching component may compute many cycles of its own
+    deterministic future in a single tick (array-at-a-time, see
+    :mod:`repro.sim.columns`) as long as every externally observable
+    effect -- a push into a channel, the capacity/wake bookkeeping of a
+    pop, a functional memory apply -- is registered with the engine at the
+    exact ``(cycle, component order)`` point the scalar execution would
+    have produced it.  The engine services those registrations interleaved
+    with ordinary component ticks, so downstream components cannot tell
+    batched execution from scalar execution.
 
-``"fastforward"``
-    The event scheduler plus *window collapse*: when a caller proves a
-    whole span of cycles is uniform (no new arrivals, no structural
-    boundary -- see :mod:`repro.sim.fastforward`), it executes the span
-    analytically with max-plus recurrences and jumps the clock with
-    :meth:`Simulator.collapse_window` instead of stepping at all.  Spans
-    that fail the uniformity predicate step on the event loop exactly as
-    ``"event"`` would (the columnar burst paths stay off), so equivalence
-    is preserved unconditionally.
+``"fastforward"`` is an alias of ``"event"``.
 
 Select a scheduler per :class:`Simulator` (``Simulator(scheduler=...)``),
 process-wide via the ``REPRO_SCHEDULER`` environment variable, or
@@ -67,13 +61,19 @@ SCHEDULERS = ("event", "legacy", "columnar", "fastforward")
 #: Scheduler used by Simulators constructed without an explicit choice.
 DEFAULT_SCHEDULER = os.environ.get("REPRO_SCHEDULER", "event")
 
+#: Window collapse under ``"event"``.  Only :func:`_stepping` clears it,
+#: so tests and ``repro bench`` can pin and time the stepping loop alone.
+_COLLAPSE = True
+
 
 def _check_scheduler(name):
+    """Validate a scheduler name; returns the scheduler it runs."""
+    # "fastforward" is an alias kept for callers that still name it.
     if name not in SCHEDULERS:
         raise ValueError(
             "unknown scheduler %r; expected one of %s" % (name, SCHEDULERS)
         )
-    return name
+    return "event" if name == "fastforward" else name
 
 
 @contextmanager
@@ -87,6 +87,19 @@ def use_scheduler(name):
         yield
     finally:
         DEFAULT_SCHEDULER = previous
+
+
+@contextmanager
+def _stepping():
+    """Default to ``"event"`` without window collapse (tests, bench)."""
+    global _COLLAPSE
+    previous = _COLLAPSE
+    _COLLAPSE = False
+    try:
+        with use_scheduler("event"):
+            yield
+    finally:
+        _COLLAPSE = previous
 
 
 class SimulationError(RuntimeError):
@@ -180,11 +193,11 @@ class Simulator:
         rather than looping forever (the usual symptom of a deadlocked
         back-pressure cycle in a model under development).
     scheduler:
-        ``"event"`` (idle-skip, the default), ``"legacy"`` (tick every
-        component every cycle), ``"columnar"`` (event plus timed
-        channel operations for array-at-a-time components) or
-        ``"fastforward"`` (event plus analytic collapse of uniform
-        windows).  ``None`` resolves against :data:`DEFAULT_SCHEDULER`.
+        ``"event"`` (idle-skip plus analytic collapse of uniform windows,
+        the default), ``"legacy"`` (tick every component every cycle) or
+        ``"columnar"`` (stepping event plus timed channel operations for
+        array-at-a-time components); ``"fastforward"`` is an alias of
+        ``"event"``.  ``None`` resolves against :data:`DEFAULT_SCHEDULER`.
     """
 
     def __init__(self, max_cycles=200_000_000, scheduler=None):
@@ -202,12 +215,10 @@ class Simulator:
         self._active_channels = 0  # non-idle fifos + pipes
         self._processing_order = -1  # order of the component mid-tick
         #: Components consult this to enable their columnar fast paths.
-        #: The fastforward scheduler is the event engine plus window
-        #: collapse: its declined windows step on the plain event loop.
         self.columnar = self.scheduler == "columnar"
-        #: Window-collapse opt-in: :mod:`repro.sim.fastforward` only
-        #: attempts analytic execution when this is set.
-        self.fastforward = self.scheduler == "fastforward"
+        #: :mod:`repro.sim.fastforward` only attempts analytic window
+        #: collapse when this is set; declined windows step as usual.
+        self._collapse = _COLLAPSE and self.scheduler == "event"
         #: Set by the observability layer when live sampling probes are
         #: installed; columnar fast paths then fall back to scalar ticking
         #: so intermediate state at window boundaries stays exact.
@@ -655,8 +666,6 @@ class Simulator:
         return {
             "scheduler_event": 1 if self.scheduler == "event" else 0,
             "scheduler_columnar": 1 if self.scheduler == "columnar" else 0,
-            "scheduler_fastforward": 1 if self.scheduler == "fastforward"
-            else 0,
             "cycles_executed": self.cycles_executed,
             "cycles_fast_forwarded": self.cycles_fast_forwarded,
             "windows_collapsed": self.windows_collapsed,

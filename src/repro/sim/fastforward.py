@@ -55,10 +55,10 @@ same order* as the scalar model (``combine`` folds issue in FU order,
 memory applies in transaction-start order, which the max-plus recurrence
 keeps strictly increasing), and every counter increment is attached to
 the same logical event.  The golden equivalence suite
-(``tests/sim/test_scheduler_equivalence.py``) pins this against the
-legacy and event engines for stats, results and metrics payloads.
-Declined windows need no argument of their own: they run the event
-engine's code, which the same suite pins to legacy.
+(``tests/sim/test_scheduler_equivalence.py``) pins this against legacy
+and against the event engine's stepping loop for stats, results and
+metrics payloads.  Declined windows need no argument of their own: they
+run the stepping loop, which the same suite pins to legacy.
 """
 
 from collections import deque
@@ -122,11 +122,12 @@ def pipeline_drain(releases, issue_gap, latency, last_issue=None):
 class PipelineFastForward:
     """Window detector + analytic executor for the uniform-memory pipeline.
 
-    Constructed once per :class:`~repro.node.processor.StreamProcessor`
-    when the simulator runs the ``fastforward`` scheduler on a uniform
-    memory model.  :meth:`attempt` tries to execute the whole pending
-    memory phase analytically; it returns the quiescence cycle (like
-    ``sim.run()``) or ``None`` to decline.
+    The ``event`` scheduler's window collapse: a
+    :class:`~repro.node.processor.StreamProcessor` on a uniform memory
+    model builds one per memory phase.  :meth:`attempt` tries to execute
+    the whole pending phase analytically; it returns the quiescence cycle
+    (like ``sim.run()``) or ``None`` to decline, and the phase then steps
+    on the event loop.
     """
 
     def __init__(self, sim, config, agus, memsys):
@@ -137,14 +138,13 @@ class PipelineFastForward:
         self.unit = memsys.units[0] if len(memsys.units) == 1 else None
         self.mem = memsys.dram
         self.router = memsys.router
-        self.windows_declined = 0
 
     # ------------------------------------------------------------------ #
     def _eligible(self):
         """The uniformity predicate: may this window start analytically?"""
         sim = self.sim
         unit = self.unit
-        if unit is None or not sim.fastforward:
+        if unit is None:
             return False
         if self.memsys.banks:
             # Cached topology: per-bank windows are future work (the
@@ -177,13 +177,7 @@ class PipelineFastForward:
 
     def attempt(self):
         """Analytically execute the pending phase; end cycle or ``None``."""
-        if not self._eligible():
-            self.windows_declined += 1
-            return None
-        end = self._replay()
-        if end is None:
-            self.windows_declined += 1
-        return end
+        return self._replay() if self._eligible() else None
 
     # ------------------------------------------------------------------ #
     def _replay(self):

@@ -120,15 +120,15 @@ class TestBench:
             # Every scheduler simulates the identical workload.
             assert entry["event"]["cycles"] == entry["legacy"]["cycles"]
             assert entry["columnar"]["cycles"] == entry["event"]["cycles"]
-            assert entry["fastforward"]["cycles"] == entry["event"]["cycles"]
+            assert entry["stepping"]["cycles"] == entry["event"]["cycles"]
             assert entry["event"]["cycles_per_second"] > 0
             assert entry["speedup"] > 0
             assert entry["columnar_speedup"] > 0
-            assert entry["fastforward_speedup"] > 0
+            assert entry["collapse_speedup"] > 0
         printed = capsys.readouterr().out
         assert "event/legacy" in printed
         assert "columnar/event" in printed
-        assert "fastforward/event" in printed
+        assert "event/stepping" in printed
 
     def test_bench_single_engine_has_no_speedup_column(self, capsys,
                                                        tmp_path):
@@ -200,19 +200,22 @@ class TestBenchCheck:
 
     def test_stale_baseline_missing_engine_fails_loudly(self):
         current = _bench_report({"histogram": _bench_entry(1000, 0.5)})
-        current["engines"] = ["legacy", "event", "fastforward"]
+        current["engines"] = ["legacy", "event", "stepping"]
         baseline = _bench_report({"histogram": _bench_entry(1000, 0.5)})
         failures = check_bench_regression(current, baseline)
-        assert failures and "fastforward" in failures[0]
+        assert failures and "stepping" in failures[0]
 
     def test_fastforward_speedup_floor_enforced(self):
+        # The fig11 floor: event (with window collapse) over its own
+        # stepping loop.
         current = _bench_report({"fig11": _bench_entry(1000, 0.5)})
-        current["workloads"]["fig11"]["fastforward_speedup"] = 2.1
+        current["workloads"]["fig11"]["collapse_speedup"] = 2.1
         baseline = _bench_report({"fig11": _bench_entry(1000, 0.5)})
-        baseline["workloads"]["fig11"]["min_fastforward_speedup"] = 3.0
+        baseline["workloads"]["fig11"]["min_collapse_speedup"] = 3.0
         failures = check_bench_regression(current, baseline)
         assert failures and "below the 3.0x floor" in failures[0]
-        current["workloads"]["fig11"]["fastforward_speedup"] = 3.4
+        assert "event vs stepping" in failures[0]
+        current["workloads"]["fig11"]["collapse_speedup"] = 3.4
         assert check_bench_regression(current, baseline) == []
 
     def test_cli_check_passes_against_fresh_baseline(self, tmp_path):

@@ -185,6 +185,30 @@ class TestCacheBank:
         assert harness.memory.read_word(40) == 2.0
         assert harness.bank.resident_lines == 0
 
+    def test_flush_visits_sets_in_index_order(self):
+        # Sets are allocated on first use, so the flush walks a mix of
+        # allocated and never-touched slots; sum-backs must still leave
+        # in set-index order, whatever order the lines arrived in.
+        summed = []
+
+        def sink(addr, value):
+            summed.append((addr, value))
+            return True
+
+        harness = BankHarness(sumback_sink=sink)
+        line = harness.config.cache_line_words
+        touched = [5, 2, 7, 0]
+        harness.run([MemoryRequest(OP_SCATTER_ADD, s * line, float(s + 1),
+                                   combining=True) for s in touched])
+        assert harness.bank.resident_lines == len(touched)
+        assert harness.bank.has_combining_state
+        harness.bank.request_flush()
+        harness.sim.run()
+        assert harness.bank.flush_done
+        assert harness.bank.resident_lines == 0
+        assert not harness.bank.has_combining_state
+        assert summed == [(s * line, float(s + 1)) for s in sorted(touched)]
+
     def test_drain_to_functional_flush(self):
         harness = BankHarness()
         harness.run([write(2, 9.0)])

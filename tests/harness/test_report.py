@@ -57,15 +57,17 @@ class TestEngineSummary:
         assert "acks coalesced" in line
 
     def test_fastforward_omits_columnar_segment(self):
-        # fastforward steps declined windows on the event loop, so a
-        # columnar segment would describe work it never does.
+        # The event engine fast-forwards uniform windows and steps the
+        # rest on the event loop, so a columnar segment would describe
+        # work it never does.
         line = engine_summary({
-            "engine.scheduler_fastforward": 1,
+            "engine.scheduler_event": 1,
             "engine.cycles_executed": 10,
+            "engine.windows_collapsed": 2,
             "sim.columnar.bursts": 3,
         })
-        assert line.startswith("engine[fastforward]:")
-        assert "windows collapsed" in line
+        assert line.startswith("engine[event]:")
+        assert "2 uniform windows collapsed" in line
         assert "bursts" not in line
 
     def test_columnar_dict_without_family_omits_segment(self):

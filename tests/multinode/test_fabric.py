@@ -8,7 +8,7 @@ equivalence contracts of the redesign:
 - combine-site ``memory`` on the degenerate crossbar is *bit-exactly*
   the legacy scalar-kwargs machine (randomized differential sweep, same
   engine on both sides so only the config spelling differs);
-- legacy, event and fastforward agree on the new modes' cycle counts,
+- legacy and event agree on the new modes' cycle counts,
   statistics and results (cross-engine sweep at four nodes over ten
   seeds); the columnar engine's known cached drift is a strict xfail.
 """
@@ -364,7 +364,7 @@ class TestCrossEngineEquivalence:
         # legacy exactly on every seed, not on a hand-picked one.
         for seed in range(10):
             runs = _four_node_runs(topology, site, seed,
-                                   ("legacy", "event", "fastforward"))
+                                   ("legacy", "event"))
             _assert_matches_legacy(runs, seed)
 
     @pytest.mark.xfail(strict=True, reason=(

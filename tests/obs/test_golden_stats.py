@@ -45,7 +45,7 @@ class TestGoldenStats:
     def _comparable(stats):
         # Model counters are always bit-identical.  The engine's
         # self-describing bookkeeping (``engine.*``, ``sim.columnar.*``)
-        # is too under legacy/event/fastforward, but the columnar engine
+        # is too under legacy/event, but the columnar engine
         # delivers traced acknowledgements individually instead of
         # batching them, so its own work counters legitimately shift with
         # trace density.

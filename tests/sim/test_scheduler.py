@@ -7,6 +7,7 @@ from repro.sim.engine import (
     SCHEDULERS,
     Component,
     Simulator,
+    _stepping,
     use_scheduler,
 )
 
@@ -106,6 +107,26 @@ class TestSchedulerSelection:
         with pytest.raises(ValueError):
             with use_scheduler("quantum"):
                 pass
+
+    def test_fastforward_is_an_alias_of_event(self):
+        sim = Simulator(scheduler="fastforward")
+        assert sim.scheduler == "event"
+        assert sim._collapse
+        with use_scheduler("fastforward"):
+            assert Simulator().scheduler == "event"
+
+    def test_only_event_collapses_windows(self):
+        assert not Simulator(scheduler="legacy")._collapse
+        assert not Simulator(scheduler="columnar")._collapse
+
+    def test_stepping_switches_collapse_off(self):
+        with use_scheduler("legacy"), _stepping():
+            sim = Simulator()
+            assert sim.scheduler == "event"
+            assert not sim._collapse
+            assert not Simulator(scheduler="event")._collapse
+        assert Simulator(scheduler="event")._collapse
+        assert Simulator().scheduler == DEFAULT_SCHEDULER
 
 
 class TestSkipAhead:

@@ -1,14 +1,15 @@
 """Golden equivalence: every scheduler matches legacy bit-exactly.
 
-The event scheduler may only *skip* ticks that are provably no-ops, the
+The event scheduler may only *skip* ticks that are provably no-ops and
+only collapse windows whose end state it computes analytically, and the
 columnar engine may only batch work whose observable effects it
-reproduces cycle-exactly, and the fast-forward engine may only collapse
-windows whose end state it computes analytically -- so every workload
-must produce bit-identical final cycle counts, statistics (modulo the
-``engine.*`` and ``sim.columnar.*`` observability counters), metrics
-payloads, latency breakdowns and numerical results under all four
-schedulers.  These tests run real workloads through each and diff
-everything.
+reproduces cycle-exactly -- so every workload must produce bit-identical
+final cycle counts, statistics (modulo the ``engine.*`` and
+``sim.columnar.*`` observability counters), metrics payloads, latency
+breakdowns and numerical results under legacy, event, the event
+scheduler's stepping loop alone (window collapse switched off, so
+declined windows stay pinned to legacy) and columnar.  These tests run
+real workloads through each and diff everything.
 """
 
 import random
@@ -19,7 +20,7 @@ import pytest
 from repro.api import Simulation, scatter_add_reference, simulate_scatter_add
 from repro.config import MachineConfig, NetworkConfig
 from repro.multinode.system import MultiNodeSystem
-from repro.sim.engine import SCHEDULERS, use_scheduler
+from repro.sim.engine import SCHEDULERS, _stepping, use_scheduler
 
 #: Counter/gauge/histogram prefixes that legitimately differ between
 #: schedulers: they describe the engine's own work, not the machine's.
@@ -42,18 +43,24 @@ def _strip_metrics(payload):
     return payload
 
 
+#: The engines diffed against legacy; "stepping" is event without window
+#: collapse.
+ENGINES = ("event", "stepping", "columnar")
+
+
 def _run_all(fn):
-    """Run `fn` under every scheduler; returns {scheduler: result}."""
+    """Run `fn` under legacy and every engine; returns {engine: result}."""
     runs = {}
-    for scheduler in ("legacy", "event", "columnar", "fastforward"):
-        with use_scheduler(scheduler):
-            runs[scheduler] = fn()
+    for engine in ("legacy",) + ENGINES:
+        with (_stepping() if engine == "stepping"
+              else use_scheduler(engine)):
+            runs[engine] = fn()
     return runs
 
 
 def _assert_equivalent(runs):
     cycles_ref, stats_ref, result_ref = runs["legacy"]
-    for scheduler in ("event", "columnar", "fastforward"):
+    for scheduler in ENGINES:
         cycles, stats, result = runs[scheduler]
         assert cycles == cycles_ref, scheduler
         assert stats == stats_ref, scheduler
@@ -214,7 +221,7 @@ class TestObservabilityEquivalence:
 
         runs = _run_all(run)
         payload_ref, breakdown_ref = runs["legacy"]
-        for scheduler in ("event", "columnar", "fastforward"):
+        for scheduler in ENGINES:
             payload, breakdown = runs[scheduler]
             assert payload == payload_ref, scheduler
             assert breakdown == breakdown_ref, scheduler
@@ -222,14 +229,17 @@ class TestObservabilityEquivalence:
 
 class TestEngineCounters:
     def test_event_run_records_skips(self):
+        # The stepping loop alone: window collapse would jump the whole
+        # phase without stepping or skipping any tick.
         rng = random.Random(5)
         indices = [rng.randrange(65536) for _ in range(256)]
         config = MachineConfig.uniform(latency=256, interval=2)
-        with use_scheduler("event"):
+        with _stepping():
             run_ = simulate_scatter_add(indices, 1.0, num_targets=65536,
                                         config=config)
         stats = run_.stats.as_dict()
         assert stats["engine.scheduler_event"] == 1
+        assert stats["engine.windows_collapsed"] == 0
         assert stats["engine.ticks_skipped"] > 0
         # Long fixed-latency gaps must actually be jumped over: most of
         # the simulated time should be fast-forwarded, not executed.
@@ -258,15 +268,15 @@ class TestEngineCounters:
         assert stats["engine.timed_ops"] > 0
         assert stats["engine.cycles_executed"] < run_.cycles
 
-    def test_fastforward_run_collapses_windows(self):
+    def test_event_run_collapses_windows(self):
         rng = random.Random(5)
         indices = [rng.randrange(65536) for _ in range(256)]
         config = MachineConfig.uniform(latency=256, interval=2)
-        with use_scheduler("fastforward"):
+        with use_scheduler("event"):
             run_ = simulate_scatter_add(indices, 1.0, num_targets=65536,
                                         config=config)
         stats = run_.stats.as_dict()
-        assert stats["engine.scheduler_fastforward"] == 1
+        assert stats["engine.scheduler_event"] == 1
         # The whole phase is one uniform window: it must have been
         # collapsed analytically, with every cycle fast-forwarded and
         # none stepped.
@@ -274,34 +284,34 @@ class TestEngineCounters:
         assert stats["engine.cycles_fast_forwarded"] > 0
         assert stats["engine.cycles_executed"] < run_.cycles
 
-    def test_fastforward_declines_under_observation(self):
+    def test_event_declines_under_observation(self):
         # Live probes read intermediate state at exact cycles, so the
         # uniformity predicate must refuse the window and fall back to
         # stepping it on the event loop.
         rng = random.Random(5)
         indices = [rng.randrange(65536) for _ in range(256)]
         config = MachineConfig.uniform(latency=256, interval=2)
-        with use_scheduler("fastforward"):
+        with use_scheduler("event"):
             sim = Simulation(config, sample_every=64)
             run_ = sim.run("scatter_add", indices, 1.0, num_targets=65536)
         stats = run_.stats.as_dict()
-        assert stats["engine.scheduler_fastforward"] == 1
+        assert stats["engine.scheduler_event"] == 1
         assert stats["engine.windows_collapsed"] == 0
         assert stats["engine.cycles_executed"] > 0
 
     @pytest.mark.parametrize("nodes", [1, 4], ids=["cached", "multinode"])
-    def test_fastforward_declines_onto_event_machinery(self, nodes):
-        # Cached runs never collapse, so they step start to finish.  They
-        # must do so on the event engine's code: no timed channel
-        # operations and no columnar burst counters.
+    def test_event_declines_cached(self, nodes):
+        # Cached runs never collapse, so they step start to finish on the
+        # event loop: no timed channel operations and no columnar burst
+        # counters.
         rng = random.Random(7)
         indices = [rng.randrange(256) for _ in range(600)]
         config = MachineConfig(network=NetworkConfig(nodes=nodes))
-        with use_scheduler("fastforward"):
+        with use_scheduler("event"):
             run_ = Simulation(config).run("scatter_add", indices, 1.0,
                                           num_targets=256)
         stats = run_.stats.as_dict()
-        assert stats["engine.scheduler_fastforward"] == 1
+        assert stats["engine.scheduler_event"] == 1
         assert stats["engine.windows_collapsed"] == 0
         assert stats["engine.timed_ops"] == 0
         assert not [key for key in stats if key.startswith("sim.columnar.")]
