@@ -44,6 +44,7 @@ RUN_SCHEMA = "repro.run/1"
 from repro.node.processor import StreamProcessor
 from repro.node.program import Phase, ScatterAdd, StreamProgram
 from repro.obs.session import Observation
+from repro.sim.engine import check_scheduler
 
 
 def _validate_indices(b, size):
@@ -287,11 +288,10 @@ class Simulation:
         table is available via :meth:`ScatterRun.latency_breakdown`.
     engine:
         Scheduler backend: ``"event"`` (default: wake/sleep event-driven,
-        plus analytic collapse of uniform windows), ``"columnar"`` (event
-        scheduler plus array-at-a-time hot paths -- bit-identical results,
-        see docs/ARCHITECTURE.md) or ``"legacy"`` (tick-every-component
-        reference); ``"fastforward"`` is an alias of ``"event"``.
-        ``None`` selects the default.
+        plus analytic collapse of uniform windows) or ``"legacy"``
+        (tick-every-component reference); ``"columnar"`` and
+        ``"fastforward"`` are aliases of ``"event"``.  ``None`` selects
+        the default; an unknown name raises :class:`ValueError`.
 
     Every :meth:`run` builds a fresh processor (runs are independent and
     deterministic); the configuration and tuning knobs are shared.
@@ -313,6 +313,8 @@ class Simulation:
         self.trace = trace
         self.trace_capacity = trace_capacity
         self.trace_requests = trace_requests
+        if engine is not None:
+            check_scheduler(engine)
         self.engine = engine
 
     def _observation(self):

@@ -19,9 +19,7 @@ Multi-node combining support (Section 3.2 of the paper):
 import heapq
 from collections import OrderedDict, deque
 
-import numpy as np
-
-from repro.memory.address import decode_lines, line_base
+from repro.memory.address import line_base
 from repro.memory.request import (
     OP_READ,
     OP_WRITE,
@@ -30,7 +28,6 @@ from repro.memory.request import (
     combine,
     identity_value,
 )
-from repro.sim.columns import combine_batch
 from repro.sim.engine import Component
 
 
@@ -248,15 +245,9 @@ class CacheBank(Component):
                 return line
         return None
 
-    def _handle_request(self, request, now, line_idx=None):
-        """Returns True if the request was consumed.
-
-        `line_idx` is the request's cache-line index when the caller has
-        already decoded it (the columnar batch path decodes a whole
-        service window in one vectorized pass).
-        """
-        if line_idx is None:
-            line_idx = request.addr // self.line_words
+    def _handle_request(self, request, now):
+        """Returns True if the request was consumed."""
+        line_idx = request.addr // self.line_words
         line = self._lookup(line_idx)
         if line is None:
             line = self._reclaim_victim(line_idx)
@@ -293,48 +284,6 @@ class CacheBank(Component):
         self._mshrs[line_idx] = [request]
         # The primary miss's trace rides the line fill through DRAM.
         self._mshr_issue.append((line_idx, base, request.trace))
-        return True
-
-    def _apply_combining_window(self, requests, lines, now):
-        """Group-by-line combine of one service window (array path).
-
-        Applies when every request in the window is an untraced combining
-        atomic of a single operation whose line is already resident: the
-        window folds into each line through
-        :func:`repro.sim.columns.combine_batch` (sequential, unbuffered
-        ``np.ufunc.at``), which is bit-identical to consuming the
-        requests one at a time -- including duplicate offsets within the
-        window.  Returns True when the window was consumed this way;
-        False leaves the queue untouched for the scalar sequence.
-        """
-        first_op = requests[0].op
-        for request in requests:
-            if (request.op != first_op or not request.combining
-                    or not request.is_atomic or request.trace is not None):
-                return False
-        line_list = lines.tolist()
-        for line_idx in line_list:
-            if self._set_of(line_idx).get(line_idx) is None:
-                return False  # miss in window: scalar path handles it
-        grouped = {}
-        for request, line_idx in zip(requests, line_list):
-            line = self._lookup(line_idx)  # per-request LRU update
-            group = grouped.get(line_idx)
-            if group is None:
-                group = grouped[line_idx] = (line, [], [])
-            group[1].append(request.addr - line.base)
-            group[2].append(request.value)
-        for line, offsets, values in grouped.values():
-            folded = combine_batch(first_op,
-                                   np.asarray(line.values, dtype=np.float64),
-                                   offsets, values)
-            line.values[:] = folded.tolist()
-            for offset in offsets:
-                line.dirty[offset] = True
-        self._m_hits.inc(len(requests))
-        for request in requests:
-            self._respond(request, None, now)
-            self.req_in.pop()
         return True
 
     def _handle_fill(self, response, now):
@@ -403,27 +352,9 @@ class CacheBank(Component):
         # Accept returned fills.
         while len(self.fill_in):
             self._handle_fill(self.fill_in.pop(), now)
-        # Service up to `width` new requests.  With several pending, the
-        # whole window's cache-line indices decode in one vectorized pass
-        # (the batch tag-match / MSHR-lookup key); requests are then
-        # consumed in order with their precomputed index, so the effects
-        # (LRU updates, MSHR allocation, stalls) are exactly the scalar
-        # sequence.
-        window = min(self.width, len(self.req_in))
-        if window > 1 and getattr(self._sim, "columnar", False):
-            committed = self.req_in._committed
-            requests = [committed[i] for i in range(window)]
-            lines = decode_lines([r.addr for r in requests],
-                                 self.line_words)
-            if not self._apply_combining_window(requests, lines, now):
-                for request, line_idx in zip(requests, lines.tolist()):
-                    if not self._handle_request(request, now,
-                                                line_idx=line_idx):
-                        break
-                    self.req_in.pop()
-        elif window:
-            if self._handle_request(self.req_in.peek(), now):
-                self.req_in.pop()
+        # Service the head request.
+        if len(self.req_in) and self._handle_request(self.req_in.peek(), now):
+            self.req_in.pop()
         if self._flushing:
             self._advance_flush()
 

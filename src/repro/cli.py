@@ -397,10 +397,8 @@ def _cmd_bench(args):
                          "(got %d)" % args.repeats)
     engines = {
         "event": ("event",),
-        "columnar": ("columnar",),
-        "both": ("event", "columnar"),
         # "stepping" is event with window collapse switched off.
-        "all": ("event", "legacy", "columnar", "stepping"),
+        "all": ("event", "legacy", "stepping"),
     }[args.engine]
     # Flags the user leaves unset fall back to the bench's default
     # multi-node case (radix-4 tree, 8 nodes, combining everywhere).
@@ -439,10 +437,6 @@ def _cmd_bench(args):
         if "legacy" in entry and "event" in entry:
             entry["speedup"] = (entry["event"]["cycles_per_second"]
                                 / entry["legacy"]["cycles_per_second"])
-        if "event" in entry and "columnar" in entry:
-            entry["columnar_speedup"] = (
-                entry["columnar"]["cycles_per_second"]
-                / entry["event"]["cycles_per_second"])
         if "event" in entry and "stepping" in entry:
             entry["collapse_speedup"] = (
                 entry["event"]["cycles_per_second"]
@@ -453,8 +447,6 @@ def _cmd_bench(args):
                      for s in engines)
         if "speedup" in entry:
             cells.append("event/legacy %.2fx" % entry["speedup"])
-        if "columnar_speedup" in entry:
-            cells.append("columnar/event %.2fx" % entry["columnar_speedup"])
         if "collapse_speedup" in entry:
             cells.append("event/stepping %.2fx" % entry["collapse_speedup"])
         print("  ".join(cells))
@@ -589,10 +581,9 @@ def build_parser():
                        help="small inputs for CI (seconds, not minutes)")
     bench.add_argument(
         "--engine", default="all",
-        choices=("event", "columnar", "both", "all"),
-        help="which engines to time: a single engine, 'both' "
-             "(event+columnar), or 'all' (every scheduler, legacy "
-             "reference included, plus 'stepping': event without window "
+        choices=("event", "all"),
+        help="which engines to time: 'event' alone, or 'all' (event, the "
+             "legacy reference, and 'stepping': event without window "
              "collapse)")
     bench.add_argument("--repeats", type=int, default=3,
                        help="timed repetitions per case after one warm-up "

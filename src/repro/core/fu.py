@@ -43,21 +43,9 @@ class AddPipeline:
             return result, old_value, meta
         return None
 
-    def peek_completion(self, now):
-        """Like :meth:`completed` but without popping (columnar look-ahead)."""
-        if self._stages and self._stages[0][0] <= now:
-            __, result, old_value, meta = self._stages[0]
-            return result, old_value, meta
-        return None
-
     def next_completion(self):
         """Cycle the oldest in-flight op completes, or ``None`` if empty."""
         return self._stages[0][0] if self._stages else None
-
-    @property
-    def next_issue(self):
-        """Earliest cycle :meth:`can_issue` holds (columnar look-ahead)."""
-        return self._last_issue + 1
 
     @property
     def busy(self):

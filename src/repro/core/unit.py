@@ -45,7 +45,6 @@ from repro.memory.request import (
     MemoryResponse,
     identity_value,
 )
-from repro.sim.columns import AckBatch, ColumnarMetrics
 from repro.sim.engine import Component
 
 
@@ -88,26 +87,6 @@ class ScatterAddUnit(Component):
         self._active = set()  # addresses holding a value token
         self._combining_addrs = set()  # active addresses in combining mode
         self._stall_since = None  # first cycle the head atomic found the store full
-        # Columnar burst state (see _tick_columnar).  In fast mode the
-        # _chained deque holds (avail_cycle, addr, value) triples instead
-        # of (addr, value) pairs, because a burst may append tokens whose
-        # cycle lies ahead of engine time.
-        self._fast = None  # sticky fast-mode decision, made at first tick
-        self._columnar = None  # ColumnarMetrics, created with the decision
-        self._fused_mem = None  # UniformMemory eligible for fused ingest
-        self._upstream_quiet = None  # callable: no more req_in arrivals
-        self._pool = None  # shared RequestPool (columnar runs)
-        self._virtual = deque()  # (avail_cycle, addr, value) fused reads
-        self._resume_at = None  # cycle a stopped burst must re-tick at
-        self._accept_after = -1  # last accept/bypass cycle (one per cycle)
-        self._fifo_value_reads = 0  # scalar-path value reads in flight
-        self._pending_releases = deque()  # scheduled req_in phantom frees
-        self._fence_at = -1  # largest quiescence fence scheduled so far
-        self._fence_entry = None  # pending fence heap entry (supersedable)
-        self._burst_done = -1  # latest fused memory completion this burst
-        # Cross-burst acknowledgement accumulator: id(reply FIFO) -> the
-        # pending timed push entry carrying the growing batch.
-        self._ack_accum = {}
         # Wake/sleep protocol: new requests and value returns wake the
         # unit; a pop of a full mem_out unblocks bypasses/writes.
         self.watch(self.req_in, self.value_in)
@@ -258,472 +237,13 @@ class ScatterAddUnit(Component):
             self._m_value_reads.inc()
 
     # ------------------------------------------------------------------ #
-    # Columnar burst path.
-    #
-    # One tick replays the unit's *exact* per-cycle scalar event sequence
-    # over a span of future cycles (a "burst"): completions, token
-    # consumptions and request acceptances happen at precisely the cycles
-    # the scalar path would have produced them, with side effects routed
-    # through the engine's timed-operation heap (acks, FIFO pop releases)
-    # or fused directly into an idle UniformMemory.  The burst stops --
-    # before mutating anything -- at the first event it cannot represent
-    # exactly, and resumes scalar-equivalent processing at that cycle.
-    # ------------------------------------------------------------------ #
-    def attach_columnar(self, fused_mem=None, upstream_quiet=None,
-                        pool=None):
-        """Wire the columnar fast-path integrations.
-
-        `fused_mem` is a :class:`~repro.memory.dram.UniformMemory` this
-        unit may ingest requests into directly (bypassing its input FIFO
-        when provably order-exact); `upstream_quiet` is a callable that
-        returns True once no further request can arrive on ``req_in``
-        for the rest of the run (lifting the burst horizon entirely);
-        `pool` is the shared :class:`~repro.sim.columns.RequestPool`.
-        All are optional and only consulted by the fast path.
-        """
-        if fused_mem is not None:
-            self._fused_mem = fused_mem
-        if upstream_quiet is not None:
-            self._upstream_quiet = upstream_quiet
-        if pool is not None:
-            self._pool = pool
-
-    def _decide_fast(self):
-        sim = self._sim
-        columnar = sim is not None and getattr(sim, "columnar", False)
-        self._fast = bool(columnar and not sim.live_probes
-                          and self.trace is None)
-        if columnar:
-            self._columnar = ColumnarMetrics(self.stats.registry)
-        return self._fast
-
-    def _fused_ready(self, reply_to):
-        """True when a request can be ingested by the memory right now.
-
-        Requires an attached :class:`UniformMemory` in a fusable state
-        (idle input FIFO, nothing in flight), no blocked scalar pushes of
-        our own, and an unbounded (or absent) response path -- a bounded
-        reply FIFO needs the scalar retry machinery to be exact.
-        """
-        mem = self._fused_mem
-        return (mem is not None and not self._mem_retry
-                and mem.columnar_fusable()
-                and (reply_to is None or reply_to is self.value_in
-                     or getattr(reply_to, "capacity", 0) is None))
-
-    def _accum_ack(self, reply_to, response, tau):
-        """Accumulate an untraced ack to an unbounded reply FIFO.
-
-        Only the *last* acknowledgement of a stream op is observable (it
-        flips ``op.done`` at the AGU); intermediate arrival cycles are
-        not.  Each reply FIFO therefore keeps one growing batch behind a
-        pending timed push: a later ack dead-marks the pending entry and
-        reschedules the batch at its own exact cycle.  Once the engine
-        services an entry the batch is closed (the engine dead-marks it)
-        and the next ack starts a fresh one -- so the final ack of an op
-        is always delivered at its exact scalar cycle.
-        """
-        key = id(reply_to)
-        entry = self._ack_accum.get(key)
-        if entry is not None and entry[3] == "push" and entry[0] <= tau:
-            payload = entry[5]
-            entry[3] = "dead"
-            if type(payload) is AckBatch:
-                payload.responses.append(response)
-            else:
-                payload = AckBatch([payload, response])
-            self._columnar.acks_batched.inc()
-        else:
-            payload = response
-        self._ack_accum[key] = self._sim.schedule_push(
-            reply_to, payload, tau, order=self._order)
-
-    def _emit_mem(self, request, tau, now):
-        """Route a memory-bound request generated by a burst event at `tau`.
-
-        Returns False (emitting nothing) when the event lies ahead of
-        engine time and fusion is unavailable; the caller must stop the
-        burst *before* mutating state.
-        """
-        if self._fused_ready(request.reply_to):
-            mem = self._fused_mem
-            value, done = mem.columnar_ingest(request, tau + 1)
-            if done > self._burst_done:
-                self._burst_done = done
-            reply_to = request.reply_to
-            if reply_to is self.value_in:
-                # Keep the read result as a *virtual* token, consumable
-                # at the exact cycle the response would have been
-                # poppable from value_in.
-                self._virtual.append((done + 1, request.addr, value))
-            elif reply_to is not None:
-                response = MemoryResponse(
-                    request.op, request.addr, value, tag=request.tag,
-                    words=request.words, trace=request.trace,
-                )
-                if request.trace is not None:
-                    self._sim.schedule_push(reply_to, response, done,
-                                            order=mem._order)
-                else:
-                    self._accum_ack(reply_to, response, done)
-            if self._pool is not None:
-                self._pool.release(request)
-            return True
-        if tau == now:
-            if request.reply_to is self.value_in:
-                self._fifo_value_reads += 1
-            self._push_mem(request)
-            return True
-        return False
-
-    def _pop_head(self, tau, now):
-        """Take the head request at burst cycle `tau` (phantom-exact)."""
-        if tau == now:
-            return self.req_in.pop()
-        item = self.req_in.pop_early()
-        self._sim.schedule_pop_release(self.req_in, tau, order=self._order)
-        self._pending_releases.append(tau)
-        return item
-
-    def _burst_complete(self, tau, now):
-        """Process at most one FU completion at `tau`.
-
-        Returns False -- without mutating anything -- when the
-        completion's side effects cannot be produced exactly from this
-        burst (memory write with fusion unavailable, bounded ack path).
-        """
-        peeked = self.fu.peek_completion(tau)
-        if peeked is None:
-            return True
-        result, old_value, meta = peeked
-        entry_id, addr, reply_to, tag, op, req_trace = meta
-        pending = self.store.waiting_count(addr)
-        will_chain = self.chaining and pending
-        if (not will_chain and tau > now
-                and not self._fused_ready(None)):
-            return False
-        # Duck-typed reply targets without a `capacity` attribute count
-        # as bounded: they go through the scalar ack machinery, which
-        # only needs can_push/push.
-        bounded = (reply_to is not None
-                   and getattr(reply_to, "capacity", 0) is not None)
-        if bounded and tau > now:
-            return False
-        self.fu.completed(tau)
-        self.store.release(entry_id)
-        if req_trace is not None:
-            req_trace.leg(self.name, "fu", tau)
-        if reply_to is not None:
-            if bounded:
-                # Bounded reply path (tau == now, guarded above): go
-                # through the scalar retry machinery.
-                self._send_ack(op, addr, old_value, reply_to, tag,
-                               trace=req_trace)
-            else:
-                value = old_value if op == OP_FETCH_ADD else None
-                response = MemoryResponse(op, addr, value, tag=tag,
-                                          trace=req_trace)
-                if req_trace is not None:
-                    # Traced acks carry per-leg cycle stamps: deliver
-                    # individually at the exact cycle.
-                    self._sim.schedule_push(reply_to, response, tau,
-                                            order=self._order)
-                else:
-                    self._accum_ack(reply_to, response, tau)
-        self._m_sums.inc()
-        self._m_fu_sums.inc()
-        if will_chain:
-            self._chained.append((tau, addr, result))
-            self._m_chained.inc()
-            return True
-        combining = addr in self._combining_addrs
-        if combining:
-            write = MemoryRequest(op, addr, result, combining=True)
-        else:
-            write = MemoryRequest(OP_WRITE, addr, result)
-        self._emit_mem(write, tau, now)
-        self._m_result_writes.inc()
-        if pending:
-            # Ablation path (chaining disabled): round-trip via memory.
-            if combining:
-                self._chained.append((tau, addr, identity_value(op)))
-            else:
-                self._emit_mem(
-                    MemoryRequest(OP_READ, addr, reply_to=self.value_in),
-                    tau, now)
-                self._m_value_reads.inc()
-        else:
-            self._active.discard(addr)
-            self._combining_addrs.discard(addr)
-            if self._chain_absorbed is not None:
-                self.tracer.record_fanout(self._chain_absorbed.pop(addr, 1))
-        return True
-
-    def _burst_consume(self, tau, now):
-        """Issue at most one value token into the FU at `tau`."""
-        if not self.fu.can_issue(tau):
-            return
-        if self._chained and self._chained[0][0] <= tau:
-            __, addr, value = self._chained.popleft()
-        elif len(self.value_in):
-            if tau == now:
-                response = self.value_in.pop()
-            else:
-                response = self.value_in.pop_early()
-                self._sim.schedule_pop_release(self.value_in, tau,
-                                               order=self._order)
-            self._fifo_value_reads -= 1
-            addr, value = response.addr, response.value
-        elif self._virtual and self._virtual[0][0] <= tau:
-            __, addr, value = self._virtual.popleft()
-        else:
-            return
-        entry_id, entry = self.store.pop_waiting(addr)
-        if entry.trace is not None:
-            entry.trace.leg(self.name, "store.wait", tau)
-        meta = (entry_id, addr, entry.reply_to, entry.tag, entry.op,
-                entry.trace)
-        self.fu.issue(entry.op, value, entry.value, meta, tau)
-
-    def _burst_accept(self, tau, now, taken, known_committed, known_total):
-        """Accept or bypass the head request at `tau`.
-
-        Returns the number taken (0 or 1), or None when the event cannot
-        be represented and the burst must stop (nothing mutated).
-        """
-        if taken >= known_total or tau <= self._accept_after:
-            return 0
-        avail = now if taken < known_committed else now + 1
-        if tau < avail:
-            return 0
-        queue = self.req_in
-        request = queue._committed[0] if queue._committed else queue._staged[0]
-        if not request.is_atomic:
-            if not self._fused_ready(request.reply_to):
-                if tau > now:
-                    return None
-                if self._mem_retry or not self.mem_out.can_push():
-                    return 0  # back-pressure: keep request at head
-            self._pop_head(tau, now)
-            if request.trace is not None:
-                request.trace.leg(self.name, "sau.queue", tau)
-            self._m_bypassed.inc()
-            self._emit_mem(request, tau, now)
-            self._accept_after = tau
-            return 1
-        if self.store.full:
-            if self._stall_since is None:
-                self._stall_since = tau
-            return 0
-        needs_read = (request.addr not in self._active
-                      and not request.combining)
-        if (needs_read and tau > now
-                and not self._fused_ready(self.value_in)):
-            return None
-        if self._stall_since is not None:
-            self._m_stall_cycles.inc(tau - self._stall_since)
-            self._stall_since = None
-        self._pop_head(tau, now)
-        if request.trace is not None:
-            request.trace.leg(self.name, "sau.queue", tau)
-        self._m_atomics.inc()
-        self.store.allocate(request.addr, request.value, request.op,
-                            reply_to=request.reply_to, tag=request.tag,
-                            trace=request.trace)
-        self._accept_after = tau
-        if request.addr in self._active:
-            if self._chain_absorbed is not None:
-                self._chain_absorbed[request.addr] += 1
-            self._m_combined.inc()
-            if self._pool is not None:
-                self._pool.release(request)
-            return 1
-        self._active.add(request.addr)
-        if self._chain_absorbed is not None:
-            self._chain_absorbed[request.addr] = 1
-        if request.combining:
-            self._combining_addrs.add(request.addr)
-            self._chained.append((tau, request.addr,
-                                  identity_value(request.op)))
-        else:
-            # The value read rides the activator's trace, so release the
-            # pooled request (which clears its trace) only afterwards.
-            self._emit_mem(
-                MemoryRequest(OP_READ, request.addr, reply_to=self.value_in,
-                              trace=request.trace),
-                tau, now)
-            self._m_value_reads.inc()
-        if self._pool is not None:
-            self._pool.release(request)
-        return 1
-
-    def _next_burst_cycle(self, tau, now, taken, known_committed,
-                          known_total):
-        """Earliest cycle after `tau` with a processable burst event."""
-        nxt = self.fu.next_completion()
-        if nxt is not None and nxt <= tau:
-            nxt = tau + 1
-        token = None
-        if self._chained:
-            token = self._chained[0][0]
-        if len(self.value_in):
-            token = tau + 1 if token is None else min(token, tau + 1)
-        if self._virtual:
-            avail = self._virtual[0][0]
-            token = avail if token is None else min(token, avail)
-        if token is not None:
-            candidate = max(token, tau + 1, self.fu.next_issue)
-            if nxt is None or candidate < nxt:
-                nxt = candidate
-        if taken < known_total:
-            avail = now if taken < known_committed else now + 1
-            queue = self.req_in
-            head = (queue._committed[0] if queue._committed
-                    else queue._staged[0])
-            blocked = head.is_atomic and self.store.full
-            if not (blocked and self._stall_since is not None):
-                # A stalled-and-accounted head unblocks only via an FU
-                # completion (covered above); everything else gets an
-                # acceptance (or stall-onset observation) candidate.
-                candidate = max(avail, self._accept_after + 1, tau + 1)
-                if nxt is None or candidate < nxt:
-                    nxt = candidate
-        return nxt
-
-    def _tick_columnar(self, now):
-        sim = self._sim
-        self._resume_at = None
-        self._burst_done = -1
-        self._drain_retries()
-        queue = self.req_in
-        # Known-request window: entries already queued at burst start.
-        # Committed positions are acceptable from `now`, staged ones from
-        # `now + 1`.  Anything arriving later is *unknown*: the engine
-        # wakes us when it actually arrives, so the burst only needs to
-        # avoid pre-executing events at cycles where an unknown could
-        # already have been accepted.
-        known_committed = len(queue._committed)
-        known_total = known_committed + len(queue._staged)
-        taken = 0
-        releases = self._pending_releases
-        while releases and releases[0] < now:
-            releases.popleft()
-        quiet = self._upstream_quiet is not None and self._upstream_quiet()
-        if quiet:
-            unknown_at = None  # no further arrivals this run
-        elif queue.capacity is None or queue.occupancy < queue.capacity:
-            unknown_at = now + 1
-        elif releases:
-            unknown_at = releases[0] + 1
-        else:
-            unknown_at = -1  # resolved by the first in-burst acceptance
-        degenerate = bool(self._mem_retry or self._ack_retry
-                          or self._fifo_value_reads)
-        events = 0
-        tau = now
-        while True:
-            ok = self._burst_complete(tau, now)
-            if ok:
-                self._burst_consume(tau, now)
-                took = self._burst_accept(tau, now, taken, known_committed,
-                                          known_total)
-                if took is None:
-                    ok = False
-                else:
-                    if took and unknown_at == -1:
-                        unknown_at = tau + 1
-                    taken += took
-            events += 1
-            if not ok:
-                self._resume_at = tau
-                break
-            if (degenerate or self._mem_retry or self._ack_retry
-                    or self._fifo_value_reads):
-                # Scalar work in flight (blocked retries, FIFO-path value
-                # reads whose responses arrive at cycles this burst cannot
-                # see): tick cycle-by-cycle like the scalar engine.
-                break
-            nxt = self._next_burst_cycle(tau, now, taken, known_committed,
-                                         known_total)
-            if nxt is None:
-                break
-            if taken >= known_total and unknown_at is not None:
-                # An unknown arrival is accepted no earlier than both its
-                # commit cycle and one cycle after our last acceptance;
-                # events up to that bound are safe (same-cycle completion
-                # and consume phases precede acceptance).
-                horizon = max(unknown_at, self._accept_after + 1)
-                if nxt > horizon:
-                    break
-            tau = nxt
-        if self._burst_done > self._fence_at and self._burst_done > now:
-            # Keep the engine non-quiescent through the last fused memory
-            # completion so run() reports the exact scalar cycle count.
-            # A superseded (earlier) fence is dead-marked: only the
-            # furthest one can be the last event of the run.
-            prev = self._fence_entry
-            if prev is not None and prev[3] == "fence":
-                prev[3] = "dead"
-            self._fence_entry = sim.schedule_fence(self._burst_done)
-            self._fence_at = self._burst_done
-        self._columnar.record_burst(events)
-
-    # ------------------------------------------------------------------ #
     def tick(self, now):
-        fast = self._fast
-        if fast is None:
-            fast = self._decide_fast()
-        if fast:
-            self._tick_columnar(now)
-            return
-        if self._columnar is not None:
-            self._columnar.scalar_fallbacks.inc()
         self._drain_retries()
         self._handle_completion(now)
         self._consume_value(now)
         self._accept_request(now)
 
-    def _next_wake_fast(self, now):
-        if self._mem_retry or self._ack_retry or self.value_in.occupancy:
-            return now + 1
-        wake = None
-        if self._resume_at is not None and self._resume_at > now:
-            wake = self._resume_at
-        floor = max(now + 1, self.fu.next_issue)
-        if self._chained:
-            candidate = max(self._chained[0][0], floor)
-            if wake is None or candidate < wake:
-                wake = candidate
-        if self._virtual:
-            candidate = max(self._virtual[0][0], floor)
-            if wake is None or candidate < wake:
-                wake = candidate
-        completion = self.fu.next_completion()
-        if completion is not None:
-            candidate = completion if completion > now else now + 1
-            if wake is None or candidate < wake:
-                wake = candidate
-        queue = self.req_in
-        if queue._committed or queue._staged:
-            request = (queue._committed[0] if queue._committed
-                       else queue._staged[0])
-            candidate = max(now + 1, self._accept_after + 1)
-            if request.is_atomic:
-                if not self.store.full or self._stall_since is None:
-                    if wake is None or candidate < wake:
-                        wake = candidate
-                # Stalled and accounted: released by an FU completion
-                # (wake above) or a value/chain arrival.
-            elif self.mem_out.can_push() or self._fused_ready(
-                    request.reply_to):
-                if wake is None or candidate < wake:
-                    wake = candidate
-            # else blocked on a full mem_out: its pop wakes us (feeds).
-        return wake
-
     def next_wake(self, now):
-        if self._fast:
-            return self._next_wake_fast(now)
         if self._mem_retry or self._ack_retry or self._chained:
             return now + 1
         if self.value_in.occupancy:
@@ -766,19 +286,17 @@ class ScatterAddUnit(Component):
         """True when a uniform fast-forward window may start at this unit.
 
         Stricter than ``not busy``: the analytic replay seeds its plan from
-        a pipeline with *no* request, token, retry or virtual state in
-        flight, so every queue (including the two-phase FIFOs' staged
-        slots) must be idle and the combining store must satisfy
+        a pipeline with *no* request, token or retry state in flight, so
+        every queue (including the two-phase FIFOs' staged slots) must be
+        idle and the combining store must satisfy
         :attr:`~repro.core.combining_store.CombiningStore.window_uniform`.
         """
         return (
             self.req_in.idle
             and self.value_in.idle
             and not self._chained
-            and not self._virtual
             and not self._mem_retry
             and not self._ack_retry
-            and self._fifo_value_reads == 0
             and self._stall_since is None
             and not self.fu.busy
             and self.store.window_uniform

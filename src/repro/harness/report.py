@@ -50,10 +50,7 @@ def engine_summary(stats):
     no engine counters are present (e.g. a run that never called it).
 
     Under the event engine a second segment counts the uniform windows
-    collapsed analytically; under the columnar engine it reports the
-    ``sim.columnar.*`` batching family: bursts executed, per-cycle events
-    folded into them, acknowledgements coalesced, and how many ticks fell
-    back to the exact scalar path.
+    collapsed analytically.
     """
     values = stats if isinstance(stats, dict) else stats.as_dict()
     engine = {key[len("engine."):]: value for key, value in values.items()
@@ -66,12 +63,7 @@ def engine_summary(stats):
     idle_ticks = engine.get("ticks_skipped", 0)
     total_cycles = executed + skipped_cycles
     total_ticks = ticks + idle_ticks
-    if engine.get("scheduler_columnar"):
-        name = "columnar"
-    elif engine.get("scheduler_event"):
-        name = "event"
-    else:
-        name = "legacy"
+    name = "event" if engine.get("scheduler_event") else "legacy"
     line = (
         "engine[%s]: %d/%d cycles executed (%.1f%% fast-forwarded), "
         "%d/%d ticks run (%.1f%% skipped)" % (
@@ -84,19 +76,6 @@ def engine_summary(stats):
     if name == "event":
         line += "; %d uniform windows collapsed analytically" % (
             engine.get("windows_collapsed", 0),)
-    columnar = {key[len("sim.columnar."):]: value
-                for key, value in values.items()
-                if key.startswith("sim.columnar.")}
-    if name == "columnar" and columnar:
-        line += (
-            "; columnar: %d bursts (%d events batched, %d acks coalesced, "
-            "%d scalar fallbacks)" % (
-                columnar.get("bursts", 0),
-                columnar.get("batched_events", 0),
-                columnar.get("acks_batched", 0),
-                columnar.get("scalar_fallbacks", 0),
-            )
-        )
     return line
 
 

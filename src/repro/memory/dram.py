@@ -17,7 +17,7 @@ from collections import deque
 
 import numpy as np
 
-from repro.memory.address import channel_of, decode_channels, decode_rows
+from repro.memory.address import channel_of
 from repro.memory.request import OP_READ, OP_WRITE, MemoryResponse
 from repro.sim.engine import Component
 
@@ -177,32 +177,14 @@ class DRAMSystem(_MemoryEndpoint):
     def tick(self, now):
         self._complete_due(now)
         # Route arrived requests to their home channel (one per channel/cycle
-        # of routing bandwidth, which never binds in practice).  Channel and
-        # row decode happen here; with several arrivals under the columnar
-        # engine the whole batch decodes in one vectorized pass (batched
-        # row-hit classification feeding the per-channel schedulers).
-        pending = len(self.req_in)
+        # of routing bandwidth, which never binds in practice).
         routed = 0
-        if pending > 1 and getattr(self._sim, "columnar", False):
-            count = min(pending, self.channels)
-            requests = [self.req_in.pop() for _ in range(count)]
-            addrs = [request.addr for request in requests]
-            homes = decode_channels(addrs, self.channels,
-                                    self.line_words).tolist()
-            rows = (decode_rows(addrs, self.row_words).tolist()
-                    if self.row_model else [None] * count)
-            for request, channel, row in zip(requests, homes, rows):
-                self._channel_queues[channel].append((request, row))
-            routed = count
-        else:
-            while len(self.req_in) and routed < self.channels:
-                request = self.req_in.pop()
-                channel = channel_of(request.addr, self.channels,
-                                     self.line_words)
-                row = (request.addr // self.row_words
-                       if self.row_model else None)
-                self._channel_queues[channel].append((request, row))
-                routed += 1
+        while len(self.req_in) and routed < self.channels:
+            request = self.req_in.pop()
+            channel = channel_of(request.addr, self.channels, self.line_words)
+            row = request.addr // self.row_words if self.row_model else None
+            self._channel_queues[channel].append((request, row))
+            routed += 1
         # Start one transaction per idle channel.
         for channel in range(self.channels):
             queue = self._channel_queues[channel]
@@ -330,59 +312,17 @@ class UniformMemory(_MemoryEndpoint):
             self._schedule(request, now + transfer + self.latency)
             self._m_busy_cycles.inc(transfer)
 
-    def columnar_fusable(self):
-        """True when a fused ingest would be order-exact right now.
-
-        Fusion bypasses the input FIFO entirely, so it is only valid
-        while no request is transiting the scalar path: the FIFO must be
-        idle (phantoms included) and no in-flight transaction or blocked
-        response may be pending -- otherwise apply/response order could
-        invert.
-        """
-        return self.req_in.idle and not self._due and not self._retry
-
     def uniform_window_ready(self):
-        """Uniform-window predicate: same condition as fusability.
+        """True when a uniform fast-forward window may start here.
 
         The fixed-function memory has no rows or banks, so the only
         state that can perturb a window is a transiting request or a
-        blocked response -- exactly what :meth:`columnar_fusable`
-        excludes.  (``_free_at``/``_last_start`` are analytic history,
-        honoured by the fast-forward recurrence.)
+        blocked response: the input FIFO must be idle and no in-flight
+        transaction or response may be pending.  (``_free_at`` and
+        ``_last_start`` are analytic history, honoured by the
+        fast-forward recurrence.)
         """
-        return self.columnar_fusable()
-
-    def columnar_ingest(self, request, commit_cycle):
-        """Account one transaction exactly as the scalar path would.
-
-        `commit_cycle` is the cycle the request would have committed into
-        the input FIFO (push cycle + 1).  Returns ``(value, done)`` where
-        `done` is the cycle the scalar model would apply the request and
-        push its response (the response is then *visible* to a popper at
-        ``done + 1``).  The functional effect is applied immediately --
-        order-exact because callers only fuse while
-        :meth:`columnar_fusable` holds, which makes ingest order equal
-        transaction start order equal scalar apply order.
-
-        The caller owns response delivery (a timed push, or direct
-        consumption by a fused scatter-add unit) and must keep the engine
-        non-quiescent through `done` (``schedule_fence``).
-        """
-        start = commit_cycle if commit_cycle > self._free_at else self._free_at
-        if start <= self._last_start:
-            # The scalar model pops at most one request per tick, so
-            # transaction starts are strictly increasing even when the
-            # channel interval would allow same-cycle starts.
-            start = self._last_start + 1
-        transfer = request.words * self.interval
-        self._free_at = start + transfer
-        self._last_start = start
-        done = start + transfer + self.latency
-        if request.trace is not None:
-            request.trace.leg(self.name, "dram.queue", start)
-            request.trace.leg(self.name, "dram.burst", done)
-        self._m_busy_cycles.inc(transfer)
-        return self._apply_functional(request), done
+        return self.req_in.idle and not self._due and not self._retry
 
     def next_wake(self, now):
         if self._retry:

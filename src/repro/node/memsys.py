@@ -67,9 +67,6 @@ class MemorySystem:
             unit = ScatterAddUnit(sim, config, stats, self.dram.req_in,
                                   name=name + ".sau0", chaining=chaining,
                                   trace=trace, tracer=tracer)
-            # Columnar fast path: the single unit sits directly in front
-            # of the uniform memory, so bursts may fuse requests into it.
-            unit.attach_columnar(fused_mem=self.dram)
             self.units.append(unit)
             sim.register(unit)
             targets = [unit.req_in]

@@ -104,9 +104,9 @@ class ObservationScope:
         self.sampler = TimelineSampler(every, probes,
                                        name=self.label + ".sampler")
         self.sim.register(self.sampler)
-        # Live probes read intermediate state at window boundaries, which
-        # columnar fast paths would pre-execute past; they fall back to
-        # exact scalar ticking while a sampler is attached.
+        # Live probes read intermediate state at every sampling boundary,
+        # which an analytically collapsed window would skip over; window
+        # collapse declines while a sampler is attached.
         self.sim.live_probes = True
 
     def flush_sampler(self, now):

@@ -11,7 +11,7 @@ channels connecting them.  Semantically each simulated cycle:
 The run terminates when every component reports idle and every channel is
 empty, or when an explicit cycle bound is reached.
 
-Three schedulers implement those semantics:
+Two schedulers implement those semantics:
 
 ``"legacy"``
     The literal loop above (:meth:`Simulator.step_all`): every component
@@ -33,19 +33,8 @@ Three schedulers implement those semantics:
     golden equivalence suite (``tests/sim/test_scheduler_equivalence.py``)
     pins cycles, stats and results to legacy with and without collapse.
 
-``"columnar"``
-    The event scheduler without window collapse, plus *timed channel
-    operations*: a batching component may compute many cycles of its own
-    deterministic future in a single tick (array-at-a-time, see
-    :mod:`repro.sim.columns`) as long as every externally observable
-    effect -- a push into a channel, the capacity/wake bookkeeping of a
-    pop, a functional memory apply -- is registered with the engine at the
-    exact ``(cycle, component order)`` point the scalar execution would
-    have produced it.  The engine services those registrations interleaved
-    with ordinary component ticks, so downstream components cannot tell
-    batched execution from scalar execution.
-
-``"fastforward"`` is an alias of ``"event"``.
+``"columnar"`` and ``"fastforward"`` are aliases of ``"event"``: the names
+of retired engines, kept because the benchmark still times them.
 
 Select a scheduler per :class:`Simulator` (``Simulator(scheduler=...)``),
 process-wide via the ``REPRO_SCHEDULER`` environment variable, or
@@ -58,6 +47,11 @@ from heapq import heappop, heappush
 
 SCHEDULERS = ("event", "legacy", "columnar", "fastforward")
 
+#: Retired engine names that now run ``"event"``.  ``bench/run.py`` times
+#: every name in :data:`SCHEDULERS` and ``BENCHMARK.json`` lists metrics
+#: under both, so the names stay until the benchmark stops using them.
+_ALIASES = ("columnar", "fastforward")
+
 #: Scheduler used by Simulators constructed without an explicit choice.
 DEFAULT_SCHEDULER = os.environ.get("REPRO_SCHEDULER", "event")
 
@@ -66,21 +60,20 @@ DEFAULT_SCHEDULER = os.environ.get("REPRO_SCHEDULER", "event")
 _COLLAPSE = True
 
 
-def _check_scheduler(name):
+def check_scheduler(name):
     """Validate a scheduler name; returns the scheduler it runs."""
-    # "fastforward" is an alias kept for callers that still name it.
     if name not in SCHEDULERS:
         raise ValueError(
             "unknown scheduler %r; expected one of %s" % (name, SCHEDULERS)
         )
-    return "event" if name == "fastforward" else name
+    return "event" if name in _ALIASES else name
 
 
 @contextmanager
 def use_scheduler(name):
     """Temporarily change the default scheduler (tests, benchmarks)."""
     global DEFAULT_SCHEDULER
-    _check_scheduler(name)
+    check_scheduler(name)
     previous = DEFAULT_SCHEDULER
     DEFAULT_SCHEDULER = name
     try:
@@ -100,6 +93,16 @@ def _stepping():
             yield
     finally:
         _COLLAPSE = previous
+
+
+def _name_list(names, cap=8):
+    """`names` joined for an error message: at most `cap`, then a count."""
+    if not names:
+        return "none"
+    shown = ", ".join(names[:cap])
+    if len(names) > cap:
+        shown += " and %d more" % (len(names) - cap)
+    return shown
 
 
 class SimulationError(RuntimeError):
@@ -194,15 +197,15 @@ class Simulator:
         back-pressure cycle in a model under development).
     scheduler:
         ``"event"`` (idle-skip plus analytic collapse of uniform windows,
-        the default), ``"legacy"`` (tick every component every cycle) or
-        ``"columnar"`` (stepping event plus timed channel operations for
-        array-at-a-time components); ``"fastforward"`` is an alias of
-        ``"event"``.  ``None`` resolves against :data:`DEFAULT_SCHEDULER`.
+        the default) or ``"legacy"`` (tick every component every cycle);
+        ``"columnar"`` and ``"fastforward"`` are aliases of ``"event"``.
+        ``None`` resolves against :data:`DEFAULT_SCHEDULER`; any other
+        name raises :class:`ValueError`.
     """
 
     def __init__(self, max_cycles=200_000_000, scheduler=None):
         self.max_cycles = max_cycles
-        self.scheduler = _check_scheduler(
+        self.scheduler = check_scheduler(
             scheduler if scheduler is not None else DEFAULT_SCHEDULER
         )
         self.cycle = 0
@@ -214,27 +217,19 @@ class Simulator:
         self._busy_count = 0  # components currently reporting busy
         self._active_channels = 0  # non-idle fifos + pipes
         self._processing_order = -1  # order of the component mid-tick
-        #: Components consult this to enable their columnar fast paths.
-        self.columnar = self.scheduler == "columnar"
         #: :mod:`repro.sim.fastforward` only attempts analytic window
         #: collapse when this is set; declined windows step as usual.
         self._collapse = _COLLAPSE and self.scheduler == "event"
         #: Set by the observability layer when live sampling probes are
-        #: installed; columnar fast paths then fall back to scalar ticking
-        #: so intermediate state at window boundaries stays exact.
+        #: installed; window collapse then declines, so the probes read
+        #: intermediate state at every sampling boundary.
         self.live_probes = False
-        # Timed channel operations (columnar scheduler): heap of
-        # [cycle, order, seq, kind, target, payload] serviced interleaved
-        # with component ticks at exactly (cycle, order).
-        self._timed = []
-        self._timed_seq = 0
         # Observability counters (surfaced as "engine.*" stats).
         self.ticks_executed = 0
         self.ticks_skipped = 0
         self.cycles_executed = 0
         self.cycles_fast_forwarded = 0
         self.windows_collapsed = 0
-        self.timed_ops_serviced = 0
 
     # ------------------------------------------------------------------ #
     # construction
@@ -282,85 +277,11 @@ class Simulator:
     @property
     def quiescent(self):
         """True when no component or channel holds pending work."""
-        if self._timed:
-            return False
         if any(component.busy for component in self._components):
             return False
         if any(not queue.idle for queue in self._fifos):
             return False
         return all(pipe.idle for pipe in self._pipes)
-
-    # ------------------------------------------------------------------ #
-    # timed channel operations (columnar scheduler)
-    # ------------------------------------------------------------------ #
-    def _schedule_timed(self, cycle, order, kind, target, payload):
-        if order is None:
-            order = self._processing_order
-        self._timed_seq += 1
-        entry = [cycle, order, self._timed_seq, kind, target, payload]
-        heappush(self._timed, entry)
-        return entry
-
-    def schedule_push(self, fifo, item, cycle, order=None):
-        """Commit a push into `fifo` during future `cycle`.
-
-        Exactly as if the component at registration `order` (default: the
-        one currently ticking) had pushed inside its tick at `cycle`: the
-        item stages during `cycle`, commits at the end of it and wakes the
-        FIFO's readers for ``cycle + 1``.  The producer must guarantee
-        capacity (unbounded FIFO or sole-writer reservation); a full FIFO
-        at service time raises, it does not silently retry.
-
-        Returns the heap entry.  A producer that later wants to supersede
-        the push (e.g. to grow an acknowledgement batch) may cancel it by
-        setting ``entry[3] = "dead"`` -- but only while the entry is still
-        pending; a serviced entry is marked ``"dead"`` by the engine, so
-        ``entry[3] == "push"`` is the liveness test.
-        """
-        return self._schedule_timed(cycle, order, "push", fifo, item)
-
-    def schedule_pop_release(self, fifo, cycle, order=None):
-        """Release one :meth:`FIFO.pop_early` phantom slot at `cycle`.
-
-        The capacity accounting and writer wakes of the early pop happen
-        at exactly the ``(cycle, order)`` point the scalar path would
-        have popped, so back-pressure evolution is bit-identical.
-        """
-        return self._schedule_timed(cycle, order, "pop", fifo, None)
-
-    def schedule_call(self, fn, cycle, order=None):
-        """Run ``fn(cycle)`` at `cycle`, ordered like a component tick."""
-        return self._schedule_timed(cycle, order, "call", None, fn)
-
-    def schedule_fence(self, cycle):
-        """Keep the engine non-quiescent (and stepping) through `cycle`.
-
-        Batching components that account future work without leaving it
-        in any channel use a fence so the run terminates at the same
-        cycle scalar execution would.
-        """
-        return self._schedule_timed(cycle, -1, "fence", None, None)
-
-    def _service_timed(self, entry):
-        cycle, order, __, kind, target, payload = entry
-        self.timed_ops_serviced += 1
-        if kind == "push":
-            self._processing_order = order
-            target.push(payload)
-        elif kind == "pop":
-            occupancy = target.occupancy
-            target._phantom -= 1
-            was_full = (target.capacity is not None
-                        and occupancy >= target.capacity)
-            self._processing_order = order
-            self._fifo_popped(target, was_full, target.idle)
-        elif kind == "call":
-            self._processing_order = order
-            payload(cycle)
-        # "fence" and "dead" entries need no action.  Mark the entry
-        # consumed either way, so a producer holding a reference can
-        # distinguish "still pending (supersedable)" from "delivered".
-        entry[3] = "dead"
 
     # ------------------------------------------------------------------ #
     # wake/sleep bookkeeping (event scheduler)
@@ -459,21 +380,8 @@ class Simulator:
         now = self.cycle
         for pipe in self._pipes:
             pipe.advance(now)
-        timed = self._timed
-        if timed:
-            for component in self._components:
-                order = component._order
-                while timed and (timed[0][0] < now or
-                                 (timed[0][0] == now and timed[0][1] <= order)):
-                    self._service_timed(heappop(timed))
-                self._processing_order = order
-                component.tick(now)
-            while timed and timed[0][0] <= now:
-                self._service_timed(heappop(timed))
-            self._processing_order = -1
-        else:
-            for component in self._components:
-                component.tick(now)
+        for component in self._components:
+            component.tick(now)
         for queue in self._fifos:
             queue.sync()
             queue._dirty = False
@@ -491,35 +399,11 @@ class Simulator:
         for pipe in self._pipes:
             pipe.advance(now)
         heap = self._wake_heap
-        timed = self._timed
         ticked = 0
-        while True:
-            # Next valid component wake this cycle (lazy deletion of
-            # entries superseded by an earlier wake).
-            comp_order = None
-            while heap and heap[0][0] == now:
-                if heap[0][2]._wake_sched != heap[0][0]:
-                    heappop(heap)
-                    continue
-                comp_order = heap[0][1]
-                break
-            # Next timed channel operation due now (or overdue, after a
-            # bounded run stopped short of its cycle).
-            timed_order = None
-            while timed and timed[0][0] <= now:
-                if timed[0][3] == "dead":
-                    heappop(timed)
-                    continue
-                timed_order = timed[0][1]
-                break
-            if timed_order is not None and (timed[0][0] < now
-                                            or comp_order is None
-                                            or timed_order <= comp_order):
-                self._service_timed(heappop(timed))
-                continue
-            if comp_order is None:
-                break
+        while heap and heap[0][0] == now:
             __, order, component = heappop(heap)
+            if component._wake_sched != now:
+                continue  # lazy deletion: superseded by an earlier wake
             component._wake_sched = None
             self._processing_order = order
             component.tick(now)
@@ -581,12 +465,8 @@ class Simulator:
     def _run_event(self, bound, until):
         self._arm()
         heap = self._wake_heap
-        timed = self._timed
         while True:
-            while timed and timed[0][3] == "dead":
-                heappop(timed)
-            if (self._busy_count == 0 and self._active_channels == 0
-                    and not timed):
+            if self._busy_count == 0 and self._active_channels == 0:
                 return self.cycle  # quiescent
             if self.cycle >= bound:
                 break
@@ -598,8 +478,6 @@ class Simulator:
                     continue
                 target = cycle
                 break
-            if timed and (target is None or timed[0][0] < target):
-                target = timed[0][0]
             if target is None or target >= bound:
                 # Non-quiescent but nothing scheduled before the bound:
                 # every remaining cycle is a provable no-op; jump to the
@@ -616,10 +494,17 @@ class Simulator:
         raise self._deadlock()
 
     def _deadlock(self):
+        """The error for a run that hit ``max_cycles``, naming what is stuck."""
+        busy = [component.name for component in self._components
+                if component.busy]
+        channels = ["%s (%d)" % (channel.name, channel.occupancy)
+                    for channel in self._fifos + self._pipes
+                    if not channel.idle]
         return SimulationError(
             "simulation exceeded max_cycles=%d without quiescing; "
-            "likely a back-pressure deadlock or unbounded request source"
-            % (self.max_cycles,)
+            "likely a back-pressure deadlock or unbounded request source; "
+            "busy components: %s; non-idle channels: %s"
+            % (self.max_cycles, _name_list(busy), _name_list(channels))
         )
 
     def collapse_window(self, end_cycle):
@@ -628,21 +513,12 @@ class Simulator:
         The caller (see :mod:`repro.sim.fastforward`) has already produced
         every observable effect of the window -- counters, memory state,
         component end states -- exactly as stepping would have, so the
-        engine merely advances time and accounts the skip.  The window
-        must start from a quiescent engine (no timed operations pending);
-        anything scheduled would silently never be serviced.
+        engine merely advances time and accounts the skip.
         """
         if end_cycle < self.cycle:
             raise ValueError(
                 "collapse_window(%d) would move time backwards from %d"
                 % (end_cycle, self.cycle))
-        timed = self._timed
-        while timed and timed[0][3] == "dead":
-            heappop(timed)
-        if timed:
-            raise SimulationError(
-                "collapse_window with %d timed operations pending; uniform "
-                "windows must start quiescent" % len(timed))
         self.cycles_fast_forwarded += end_cycle - self.cycle
         self.windows_collapsed += 1
         self.cycle = end_cycle
@@ -665,11 +541,9 @@ class Simulator:
         """Scheduler work counters as a plain dict (see ``Stats.record_engine``)."""
         return {
             "scheduler_event": 1 if self.scheduler == "event" else 0,
-            "scheduler_columnar": 1 if self.scheduler == "columnar" else 0,
             "cycles_executed": self.cycles_executed,
             "cycles_fast_forwarded": self.cycles_fast_forwarded,
             "windows_collapsed": self.windows_collapsed,
             "ticks_executed": self.ticks_executed,
             "ticks_skipped": self.ticks_skipped,
-            "timed_ops": self.timed_ops_serviced,
         }

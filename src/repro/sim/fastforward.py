@@ -62,7 +62,6 @@ run the stepping loop, which the same suite pins to legacy.
 """
 
 from collections import deque
-from heapq import heappop
 
 import numpy as np
 
@@ -155,11 +154,6 @@ class PipelineFastForward:
             return False  # observation hooks read intermediate state
         if not unit.chaining:
             return False  # memory round-trip ablation: steps on event
-        timed = sim._timed
-        while timed and timed[0][3] == "dead":
-            heappop(timed)
-        if timed:
-            return False
         if not (unit.window_quiescent and self.mem.uniform_window_ready()):
             return False
         router = self.router
@@ -238,7 +232,6 @@ class PipelineFastForward:
         occ_observed = {}  # occupancy value -> count (histogram plan)
         active = set()
         stall_since = None
-        accept_after = unit._accept_after
         fu_last_issue = unit.fu._last_issue
         fu_lat = unit.fu.latency
         sau_retry = deque()  # (code, addr, value, reply_kind, oi, idx)
@@ -424,7 +417,6 @@ class PipelineFastForward:
                         req_in.popleft()
                         n_bypassed += 1
                         mem_push(t + 1, op_code[oi], addr, value, 2, oi, idx)
-                        accept_after = t
                         work = True
                     # else back-pressure: keep the head
                 elif store_occ >= store_cap:
@@ -456,7 +448,6 @@ class PipelineFastForward:
                         else:
                             sau_retry.append((OP_READ, addr, 0.0, 1, oi, idx))
                         n_value_reads += 1
-                    accept_after = t
                     work = True
 
             # --- router handler (last in registration order) -------------
@@ -704,7 +695,6 @@ class PipelineFastForward:
             for occupancy in sorted(occ_observed):
                 store._occupancy_hist.observe(occupancy,
                                               occ_observed[occupancy])
-        unit._accept_after = accept_after
         unit.fu._last_issue = fu_last_issue
         if mem_counts[0]:
             mem._m_reads.inc(mem_counts[0])

@@ -82,9 +82,10 @@ class TestBench:
         assert args.out == "results/engine_bench.json"
         assert args.engine == "all"
 
-    def test_parser_rejects_unknown_engine(self):
+    @pytest.mark.parametrize("engine", ["warp", "columnar", "both"])
+    def test_parser_rejects_unknown_engine(self, engine):
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["bench", "--engine", "warp"])
+            build_parser().parse_args(["bench", "--engine", engine])
 
     def test_bench_rejects_non_positive_repeats(self):
         with pytest.raises(SystemExit):
@@ -118,27 +119,27 @@ class TestBench:
                                   "fig11_latency256", "network_ablation"}
         for entry in workloads.values():
             # Every scheduler simulates the identical workload.
+            assert set(entry) == {"event", "legacy", "stepping", "speedup",
+                                  "collapse_speedup"}
             assert entry["event"]["cycles"] == entry["legacy"]["cycles"]
-            assert entry["columnar"]["cycles"] == entry["event"]["cycles"]
             assert entry["stepping"]["cycles"] == entry["event"]["cycles"]
             assert entry["event"]["cycles_per_second"] > 0
+            assert entry["legacy"]["cycles_per_second"] > 0
             assert entry["speedup"] > 0
-            assert entry["columnar_speedup"] > 0
             assert entry["collapse_speedup"] > 0
         printed = capsys.readouterr().out
         assert "event/legacy" in printed
-        assert "columnar/event" in printed
         assert "event/stepping" in printed
 
     def test_bench_single_engine_has_no_speedup_column(self, capsys,
                                                        tmp_path):
         out = tmp_path / "bench.json"
         assert main(["bench", "--smoke", "--repeats", "1",
-                     "--engine", "columnar", "--out", str(out)]) == 0
+                     "--engine", "event", "--out", str(out)]) == 0
         report = json.loads(out.read_text())
-        assert report["engines"] == ["columnar"]
+        assert report["engines"] == ["event"]
         for entry in report["workloads"].values():
-            assert set(entry) == {"columnar"}
+            assert set(entry) == {"event"}
 
 
 def _bench_entry(cycles, wall):

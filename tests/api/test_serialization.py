@@ -138,9 +138,9 @@ class TestSimulationConfigForms:
     def test_describe_resolves_engine_override(self):
         from repro.sim import engine as _engine
 
-        assert Simulation(engine="legacy").describe()["engine"] == "legacy"
-        with _engine.use_scheduler("columnar"):
-            assert Simulation().describe()["engine"] == "columnar"
+        with _engine.use_scheduler("legacy"):
+            assert Simulation().describe()["engine"] == "legacy"
+            assert Simulation(engine="event").describe()["engine"] == "event"
 
 
 class TestDeprecationFunnel:

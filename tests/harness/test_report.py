@@ -39,41 +39,11 @@ class TestEngineSummary:
         line = engine_summary(run.stats)
         assert "engine[event]:" in line
 
-    def test_columnar_run_reports_batching_family(self):
-        import random
-
-        from repro.api import simulate_scatter_add
-        from repro.config import MachineConfig
-
-        rng = random.Random(5)
-        indices = [rng.randrange(65536) for _ in range(256)]
-        config = MachineConfig.uniform(latency=256, interval=2)
-        with use_scheduler("columnar"):
-            run = simulate_scatter_add(indices, 1.0, num_targets=65536,
-                                       config=config)
-        line = engine_summary(run.stats)
-        assert line.startswith("engine[columnar]:")
-        assert "bursts" in line
-        assert "acks coalesced" in line
-
-    def test_fastforward_omits_columnar_segment(self):
-        # The event engine fast-forwards uniform windows and steps the
-        # rest on the event loop, so a columnar segment would describe
-        # work it never does.
+    def test_event_reports_collapsed_windows(self):
         line = engine_summary({
             "engine.scheduler_event": 1,
             "engine.cycles_executed": 10,
             "engine.windows_collapsed": 2,
-            "sim.columnar.bursts": 3,
         })
         assert line.startswith("engine[event]:")
         assert "2 uniform windows collapsed" in line
-        assert "bursts" not in line
-
-    def test_columnar_dict_without_family_omits_segment(self):
-        line = engine_summary({
-            "engine.scheduler_columnar": 1,
-            "engine.cycles_executed": 10,
-        })
-        assert line.startswith("engine[columnar]:")
-        assert "bursts" not in line

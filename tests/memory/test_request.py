@@ -86,3 +86,9 @@ class TestRequest:
         response = MemoryResponse(OP_READ, 7, 3.25, tag="t")
         assert (response.op, response.addr, response.value, response.tag) == (
             OP_READ, 7, 3.25, "t")
+
+    def test_memory_request_has_no_dict(self):
+        request = MemoryRequest(OP_SCATTER_ADD, addr=7, value=1.0)
+        assert not hasattr(request, "__dict__")
+        with pytest.raises(AttributeError):
+            request.arbitrary_attribute = 1

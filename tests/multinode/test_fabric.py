@@ -10,7 +10,7 @@ equivalence contracts of the redesign:
   engine on both sides so only the config spelling differs);
 - legacy and event agree on the new modes' cycle counts,
   statistics and results (cross-engine sweep at four nodes over ten
-  seeds); the columnar engine's known cached drift is a strict xfail.
+  seeds).
 """
 
 import numpy as np
@@ -32,15 +32,13 @@ from repro.network.fabric import NetworkMetrics, Switch, build_network
 from repro.sim.engine import Simulator, use_scheduler
 from repro.sim.stats import Stats
 
-ENGINES = ("legacy", "event", "columnar", "fastforward")
-
-#: Stats prefixes that legitimately differ between schedulers.
-ENGINE_PREFIXES = ("engine.", "sim.columnar")
+ENGINES = ("legacy", "event", "fastforward")
 
 
 def _strip_engine(stats):
+    """Model stats minus the ``engine.*`` counters (they vary by scheduler)."""
     return {key: value for key, value in stats.as_dict().items()
-            if not key.startswith(ENGINE_PREFIXES)}
+            if not key.startswith("engine.")}
 
 
 def _reference(indices, values, targets):
@@ -359,22 +357,12 @@ class TestCrossEngineEquivalence:
     ])
     def test_four_nodes(self, topology, site):
         # Chained congestion at the home scatter-add unit on cached
-        # nodes: the case the columnar engine drifts on (see
-        # test_columnar_cached_drift).  Every other engine must match
-        # legacy exactly on every seed, not on a hand-picked one.
+        # nodes: event must match legacy exactly on every seed, not on a
+        # hand-picked one.
         for seed in range(10):
             runs = _four_node_runs(topology, site, seed,
                                    ("legacy", "event"))
             _assert_matches_legacy(runs, seed)
-
-    @pytest.mark.xfail(strict=True, reason=(
-        "known columnar drift on cached multi-node runs: SAU chaining and "
-        "combining, bank hits and router HOL blocks disagree with legacy "
-        "under chained congestion (ROADMAP item 2: delete the columnar "
-        "engine)"))
-    def test_columnar_cached_drift(self):
-        runs = _four_node_runs("tree", "both", 0, ("legacy", "columnar"))
-        _assert_matches_legacy(runs, 0)
 
 
 class TestCombiningReducesHomeTraffic:

@@ -59,7 +59,7 @@ class TestTopologyMatrix:
         indices, targets = trace
         config = MachineConfig(network=network)
         cycles = {}
-        for engine in ("legacy", "event", "columnar"):
+        for engine in ("legacy", "event"):
             with use_scheduler(engine):
                 system = MultiNodeSystem(config, address_space=targets)
                 run = system.scatter_add(indices, 1.0,

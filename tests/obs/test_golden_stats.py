@@ -28,34 +28,16 @@ class TestGoldenStats:
     def test_observation_does_not_change_as_dict(self):
         # Sampling and tracing add no model counters and change no values
         # (``trace.dropped`` appears only if events are actually dropped).
-        # Only the ``engine.*`` / ``sim.columnar.*`` scheduler
-        # bookkeeping may differ: the sampler is one extra component, so
-        # it legitimately runs ticks, and live probes push the columnar
-        # engine onto its exact scalar fallback path.
+        # Only the ``engine.*`` scheduler bookkeeping may differ: the
+        # sampler is one extra component, so it legitimately runs ticks.
         def model_counters(values):
             return {name: value for name, value in values.items()
-                    if not name.startswith(("engine.", "sim.columnar"))}
+                    if not name.startswith("engine.")}
 
         plain = _figure8_run().stats.as_dict()
         observed = _figure8_run(sample_every=64,
                                 trace=True).stats.as_dict()
         assert model_counters(observed) == model_counters(plain)
-
-    @staticmethod
-    def _comparable(stats):
-        # Model counters are always bit-identical.  The engine's
-        # self-describing bookkeeping (``engine.*``, ``sim.columnar.*``)
-        # is too under legacy/event, but the columnar engine
-        # delivers traced acknowledgements individually instead of
-        # batching them, so its own work counters legitimately shift with
-        # trace density.
-        from repro.sim.engine import DEFAULT_SCHEDULER
-
-        values = stats.as_dict()
-        if DEFAULT_SCHEDULER != "columnar":
-            return values
-        return {name: value for name, value in values.items()
-                if not name.startswith(("engine.", "sim.columnar"))}
 
     def test_request_tracing_is_bit_identical(self):
         # The tentpole guarantee: request tracing must be a pure observer.
@@ -65,7 +47,7 @@ class TestGoldenStats:
         plain = _figure8_run()
         traced = _figure8_run(trace_requests=7)
         assert traced.cycles == plain.cycles
-        assert self._comparable(traced.stats) == self._comparable(plain.stats)
+        assert traced.stats.as_dict() == plain.stats.as_dict()
         assert np.array_equal(traced.result, plain.result)
 
     def test_request_tracing_sampling_rate_is_neutral(self):
@@ -73,7 +55,7 @@ class TestGoldenStats:
         dense = _figure8_run(trace_requests=1)
         sparse = _figure8_run(trace_requests=100)
         assert dense.cycles == sparse.cycles
-        assert self._comparable(dense.stats) == self._comparable(sparse.stats)
+        assert dense.stats.as_dict() == sparse.stats.as_dict()
 
     def test_expected_counter_families_present(self):
         values = _figure8_run().stats.as_dict()

@@ -130,6 +130,32 @@ class TestSimulator:
         with pytest.raises(SimulationError):
             sim.run()
 
+    @pytest.mark.parametrize("scheduler", ["legacy", "event"])
+    def test_deadlock_names_stuck_parts(self, scheduler):
+        # Nobody pops the capacity-1 FIFO, so the producer stays busy
+        # behind a full queue until the cycle bound.
+        sim = Simulator(max_cycles=20, scheduler=scheduler)
+        queue = sim.fifo(capacity=1, name="stuck_link")
+        sim.register(Producer(queue, count=3))
+        with pytest.raises(SimulationError) as excinfo:
+            sim.run()
+        message = str(excinfo.value)
+        assert "max_cycles=20" in message
+        assert "busy components: producer;" in message
+        assert "non-idle channels: stuck_link (1)" in message
+
+    def test_deadlock_message_caps_each_list(self):
+        sim = Simulator(max_cycles=5, scheduler="legacy")
+        for index in range(11):
+            sim.register(Counter(work=100)).name = "counter%d" % index
+        with pytest.raises(SimulationError) as excinfo:
+            sim.run()
+        message = str(excinfo.value)
+        assert "counter7, counter8" not in message
+        assert "counter0, counter1" in message
+        assert "counter7 and 3 more;" in message
+        assert "non-idle channels: none" in message
+
     def test_run_cycles_exact(self):
         sim = Simulator()
         counter = sim.register(Counter(work=0))

@@ -1,5 +1,7 @@
 """Event-scheduler mechanics: wakes, skip-ahead, counters, selection."""
 
+import re
+
 import pytest
 
 from repro.sim.engine import (
@@ -108,6 +110,30 @@ class TestSchedulerSelection:
             with use_scheduler("quantum"):
                 pass
 
+    def test_unknown_scheduler_is_rejected_everywhere(self):
+        from repro.api import Simulation
+
+        names = re.escape(str(SCHEDULERS))
+        with pytest.raises(ValueError, match=names):
+            Simulator(scheduler="quantum")
+        with pytest.raises(ValueError, match=names):
+            Simulation(engine="quantum")
+        with pytest.raises(ValueError, match=names):
+            with use_scheduler("quantum"):
+                pass
+
+    def test_columnar_is_an_alias_of_event(self):
+        from repro.api import Simulation
+
+        sim = Simulator(scheduler="columnar")
+        assert sim.scheduler == "event"
+        assert sim._collapse
+        with use_scheduler("columnar"):
+            assert Simulator().scheduler == "event"
+        run = Simulation(engine="columnar").run("scatter_add", [1, 2, 1],
+                                                num_targets=4)
+        assert run.stats.as_dict()["engine.scheduler_event"] == 1
+
     def test_fastforward_is_an_alias_of_event(self):
         sim = Simulator(scheduler="fastforward")
         assert sim.scheduler == "event"
@@ -117,7 +143,6 @@ class TestSchedulerSelection:
 
     def test_only_event_collapses_windows(self):
         assert not Simulator(scheduler="legacy")._collapse
-        assert not Simulator(scheduler="columnar")._collapse
 
     def test_stepping_switches_collapse_off(self):
         with use_scheduler("legacy"), _stepping():

@@ -1,15 +1,13 @@
 """Golden equivalence: every scheduler matches legacy bit-exactly.
 
 The event scheduler may only *skip* ticks that are provably no-ops and
-only collapse windows whose end state it computes analytically, and the
-columnar engine may only batch work whose observable effects it
-reproduces cycle-exactly -- so every workload must produce bit-identical
-final cycle counts, statistics (modulo the ``engine.*`` and
-``sim.columnar.*`` observability counters), metrics payloads, latency
-breakdowns and numerical results under legacy, event, the event
-scheduler's stepping loop alone (window collapse switched off, so
-declined windows stay pinned to legacy) and columnar.  These tests run
-real workloads through each and diff everything.
+only collapse windows whose end state it computes analytically -- so
+every workload must produce bit-identical final cycle counts,
+statistics (modulo the ``engine.*`` observability counters), metrics
+payloads, latency breakdowns and numerical results under legacy, event
+and the event scheduler's stepping loop alone (window collapse switched
+off, so declined windows stay pinned to legacy).  These tests run real
+workloads through each and diff everything.
 """
 
 import random
@@ -22,14 +20,14 @@ from repro.config import MachineConfig, NetworkConfig
 from repro.multinode.system import MultiNodeSystem
 from repro.sim.engine import SCHEDULERS, _stepping, use_scheduler
 
-#: Counter/gauge/histogram prefixes that legitimately differ between
-#: schedulers: they describe the engine's own work, not the machine's.
-ENGINE_PREFIXES = ("engine.", "sim.columnar")
+#: Counter/gauge/histogram prefix that legitimately differs between
+#: schedulers: it describes the engine's own work, not the machine's.
+ENGINE_PREFIX = "engine."
 
 
 def _strip_engine(stats):
     return {key: value for key, value in stats.as_dict().items()
-            if not key.startswith(ENGINE_PREFIXES)}
+            if not key.startswith(ENGINE_PREFIX)}
 
 
 def _strip_metrics(payload):
@@ -38,14 +36,14 @@ def _strip_metrics(payload):
         for family in ("counters", "gauges", "histograms"):
             scope[family] = {
                 key: value for key, value in scope.get(family, {}).items()
-                if not key.startswith(ENGINE_PREFIXES)
+                if not key.startswith(ENGINE_PREFIX)
             }
     return payload
 
 
 #: The engines diffed against legacy; "stepping" is event without window
 #: collapse.
-ENGINES = ("event", "stepping", "columnar")
+ENGINES = ("event", "stepping")
 
 
 def _run_all(fn):
@@ -81,7 +79,7 @@ class TestSingleNode:
         runs = _run_all(run)
         _assert_equivalent(runs)
         expected = scatter_add_reference(np.zeros(512), indices, values)
-        np.testing.assert_allclose(np.asarray(runs["columnar"][2]),
+        np.testing.assert_allclose(np.asarray(runs["event"][2]),
                                    expected, atol=1e-9)
 
     def test_hot_bank_single_address(self):
@@ -134,9 +132,8 @@ class TestSingleNode:
 
     def test_uniform_memory_latency_sensitivity(self):
         # The Figure 11 configuration: long fixed latency over a huge
-        # index range -- the event scheduler's best case and the columnar
-        # engine's hot path (fused SAU bursts, ack batching), so
-        # divergence would show here.
+        # index range -- the event scheduler's best case, where whole
+        # phases collapse analytically, so divergence would show here.
         rng = random.Random(5)
         indices = [rng.randrange(65536) for _ in range(512)]
         config = MachineConfig.uniform(latency=256, interval=2)
@@ -151,8 +148,7 @@ class TestSingleNode:
     @pytest.mark.parametrize("op", ["scatter_min", "scatter_max",
                                     "scatter_mul", "fetch_add"])
     def test_non_add_operations(self, op):
-        # The columnar bank window and combining-store batch paths must
-        # honour every combining algebra, not just addition.
+        # Every combining algebra, not just addition, must agree.
         rng = np.random.default_rng(11)
         indices = rng.integers(0, 64, size=600)
         values = rng.normal(size=600)
@@ -194,9 +190,9 @@ class TestMultiNode:
 class TestObservabilityEquivalence:
     """metrics.json and latency breakdowns are engine-independent."""
 
-    # sample_every=0 matters: without live probes the columnar engine
-    # takes its fused/batched paths instead of the exact scalar
-    # fallback, so that variant diffs the batching itself.
+    # sample_every=0 matters: without live probes the event engine
+    # collapses uniform windows instead of stepping them, so that
+    # variant diffs the collapse itself.
     @pytest.mark.parametrize("sample_every", [0, 64])
     @pytest.mark.parametrize("config_name", ["table1", "uniform"])
     def test_metrics_payload_identical(self, config_name, sample_every):
@@ -254,20 +250,6 @@ class TestEngineCounters:
         assert stats["engine.ticks_skipped"] == 0
         assert stats["engine.cycles_fast_forwarded"] == 0
 
-    def test_columnar_run_services_timed_ops(self):
-        rng = random.Random(5)
-        indices = [rng.randrange(65536) for _ in range(256)]
-        config = MachineConfig.uniform(latency=256, interval=2)
-        with use_scheduler("columnar"):
-            run_ = simulate_scatter_add(indices, 1.0, num_targets=65536,
-                                        config=config)
-        stats = run_.stats.as_dict()
-        assert stats["engine.scheduler_columnar"] == 1
-        # The fused uniform-memory path replaces per-cycle polling with
-        # timed channel operations, so some must have been serviced.
-        assert stats["engine.timed_ops"] > 0
-        assert stats["engine.cycles_executed"] < run_.cycles
-
     def test_event_run_collapses_windows(self):
         rng = random.Random(5)
         indices = [rng.randrange(65536) for _ in range(256)]
@@ -302,8 +284,7 @@ class TestEngineCounters:
     @pytest.mark.parametrize("nodes", [1, 4], ids=["cached", "multinode"])
     def test_event_declines_cached(self, nodes):
         # Cached runs never collapse, so they step start to finish on the
-        # event loop: no timed channel operations and no columnar burst
-        # counters.
+        # event loop.
         rng = random.Random(7)
         indices = [rng.randrange(256) for _ in range(600)]
         config = MachineConfig(network=NetworkConfig(nodes=nodes))
@@ -313,8 +294,7 @@ class TestEngineCounters:
         stats = run_.stats.as_dict()
         assert stats["engine.scheduler_event"] == 1
         assert stats["engine.windows_collapsed"] == 0
-        assert stats["engine.timed_ops"] == 0
-        assert not [key for key in stats if key.startswith("sim.columnar.")]
+        assert stats["engine.cycles_executed"] > 0
 
     def test_schedulers_registry_is_closed(self):
         assert set(SCHEDULERS) == {"legacy", "event", "columnar",
