@@ -386,6 +386,7 @@ def check_bench_regression(results, baseline,
 
 
 def _cmd_bench(args):
+    import gc
     import json
     import statistics
     import time
@@ -418,6 +419,10 @@ def _cmd_bench(args):
                 cycles = runner()
                 samples = []
                 for _ in range(args.repeats):
+                    # Collect first, outside the timer: a full collection
+                    # of whatever heap the caller holds would otherwise
+                    # land inside a millisecond-scale smoke run.
+                    gc.collect()
                     start = time.perf_counter()
                     cycles = runner()
                     samples.append(time.perf_counter() - start)
