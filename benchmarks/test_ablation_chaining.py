@@ -9,7 +9,7 @@ quantifies what the chaining path is worth.
 import numpy as np
 
 from repro.harness.report import ExperimentResult
-from repro import MachineConfig, simulate_scatter_add
+from repro import MachineConfig, Simulation
 
 
 def run_ablation():
@@ -17,12 +17,10 @@ def run_ablation():
     rows = []
     for index_range in (1, 16, 256, 4096):
         indices = rng.integers(0, index_range, size=4096)
-        chained = simulate_scatter_add(indices, 1.0,
-                                       num_targets=index_range,
-                                       chaining=True)
-        unchained = simulate_scatter_add(indices, 1.0,
-                                         num_targets=index_range,
-                                         chaining=False)
+        chained = Simulation(chaining=True).run("scatter_add", indices, 1.0,
+                                                num_targets=index_range)
+        unchained = Simulation(chaining=False).run("scatter_add", indices, 1.0,
+                                                   num_targets=index_range)
         rows.append({
             "range": index_range,
             "chaining_us": chained.microseconds,

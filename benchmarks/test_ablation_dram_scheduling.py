@@ -11,7 +11,7 @@ measurably.
 import numpy as np
 
 from repro.harness.report import ExperimentResult
-from repro import MachineConfig, scatter_add_reference, simulate_scatter_add
+from repro import MachineConfig, Simulation, scatter_add_reference
 
 
 def run_ablation():
@@ -36,9 +36,8 @@ def run_ablation():
             ("row_frfcfs", MachineConfig(dram_model="rowbuffer",
                                          dram_scheduling="frfcfs")),
         ):
-            run = simulate_scatter_add(indices, 1.0,
-                                       num_targets=index_range,
-                                       config=config)
+            run = Simulation(config).run("scatter_add", indices, 1.0,
+                                         num_targets=index_range)
             assert np.array_equal(run.result, expected), (label, mode)
             row[mode + "_us"] = run.microseconds
         rows.append(row)

@@ -18,7 +18,7 @@ proposing it for larger systems.
 import numpy as np
 
 from repro.harness.report import ExperimentResult
-from repro import MachineConfig, scatter_add_reference
+from repro import MachineConfig, NetworkConfig, scatter_add_reference
 from repro.multinode.system import MultiNodeSystem
 
 
@@ -32,10 +32,9 @@ def run_ablation():
     expected = scatter_add_reference(np.zeros(space), indices, 1.0)
     rows = []
     for hierarchical in (False, True):
-        config = MachineConfig.multinode(
-            8, network_bw_words=1, cache_combining=True,
-            hierarchical_combining=hierarchical,
-        )
+        config = MachineConfig(network=NetworkConfig(nodes=8, link_bw_words=1),
+                               cache_combining=True,
+                               hierarchical_combining=hierarchical)
         system = MultiNodeSystem(config, address_space=space)
         run = system.scatter_add(indices, 1.0, num_targets=space)
         assert np.array_equal(run.result, expected)

@@ -9,7 +9,7 @@ issue rate, DRAM bandwidth).
 import numpy as np
 
 from repro.harness.report import ExperimentResult
-from repro import MachineConfig, simulate_scatter_add
+from repro import MachineConfig, Simulation
 
 
 def run_ablation():
@@ -19,8 +19,8 @@ def run_ablation():
     for banks, per_bank in ((1, 1), (2, 1), (4, 1), (8, 1), (8, 2)):
         config = MachineConfig(cache_banks=banks,
                                scatter_add_units_per_bank=per_bank)
-        run = simulate_scatter_add(indices, 1.0, num_targets=4096,
-                                   config=config)
+        run = Simulation(config).run("scatter_add", indices, 1.0,
+                                     num_targets=4096)
         rows.append({
             "units": banks * per_bank,
             "banks": banks,

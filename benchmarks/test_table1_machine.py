@@ -7,7 +7,7 @@ scatter-adds per host second).
 
 import numpy as np
 
-from repro import MachineConfig, simulate_scatter_add
+from repro import MachineConfig, Simulation
 from repro.harness import table1
 
 
@@ -27,8 +27,8 @@ def test_simulator_throughput(benchmark):
     indices = rng.integers(0, 2048, size=8192)
 
     def run():
-        return simulate_scatter_add(indices, 1.0, num_targets=2048,
-                                    config=MachineConfig.table1())
+        return Simulation(MachineConfig.table1()).run("scatter_add", indices,
+                                                      1.0, num_targets=2048)
 
     result = benchmark.pedantic(run, rounds=3, iterations=1)
     assert result.cycles > 0

@@ -12,7 +12,7 @@ Run:  python examples/multinode_scaling.py
 
 import numpy as np
 
-from repro import MachineConfig, scatter_add_reference
+from repro import MachineConfig, NetworkConfig, scatter_add_reference
 from repro.multinode.system import MultiNodeSystem
 
 REFS = 16384
@@ -20,8 +20,10 @@ BINS = 256
 
 
 def run(indices, nodes, bandwidth, combining):
-    config = MachineConfig.multinode(nodes, network_bw_words=bandwidth,
-                                     cache_combining=combining)
+    config = MachineConfig(
+        network=NetworkConfig(nodes=nodes, link_bw_words=bandwidth),
+        cache_combining=combining,
+    )
     system = MultiNodeSystem(config, address_space=BINS)
     return system.scatter_add(indices, 1.0, num_targets=BINS)
 

@@ -22,13 +22,10 @@ Quickstart::
 """
 
 from repro.api import (
-    ScatterAddRun,
     ScatterRun,
     Simulation,
     scatter_add_reference,
     scatter_op_reference,
-    simulate_scatter_add,
-    simulate_scatter_op,
 )
 from repro.config import MachineConfig, NetworkConfig
 from repro.core.area import AreaModel
@@ -60,7 +57,6 @@ __all__ = [
     "ProgramResult",
     "Scatter",
     "ScatterAdd",
-    "ScatterAddRun",
     "ScatterRun",
     "Simulation",
     "StreamProcessor",
@@ -69,8 +65,6 @@ __all__ = [
     "scatter_op_reference",
     "ParallelQueueAllocator",
     "QueueAllocation",
-    "simulate_scatter_add",
-    "simulate_scatter_op",
     "blocked_prefix_sum",
     "fetch_add_prefix_sum",
     "__version__",

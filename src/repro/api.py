@@ -1,6 +1,6 @@
 """High-level public API.
 
-Three layers:
+Two layers:
 
 - **Functional reference**: :func:`scatter_add_reference` implements the
   paper's ``scatterAdd(a, b, c)`` semantics (HPF's array combining scatter)
@@ -12,11 +12,8 @@ Three layers:
   executes any supported scatter operation and returns a
   :class:`ScatterRun` -- result array, timing, statistics, and (when
   requested) an observation with timelines and an event trace ready for
-  the :mod:`repro.obs` exporters.
-- **Legacy shims**: :func:`simulate_scatter_add`,
-  :func:`simulate_scatter_op` and the ``ScatterAddRun`` alias live in
-  :mod:`repro._compat` (re-exported here unchanged) and emit a
-  :class:`DeprecationWarning` through its single warning path.
+  the :mod:`repro.obs` exporters.  A multi-node configuration returns
+  the :class:`~repro.multinode.system.MultiNodeRun` subclass.
 
 Quickstart::
 
@@ -38,13 +35,14 @@ import json
 import numpy as np
 
 from repro.config import MachineConfig
-
-#: Version tag of the serialized :class:`ScatterRun` format.
-RUN_SCHEMA = "repro.run/1"
 from repro.node.processor import StreamProcessor
 from repro.node.program import Phase, ScatterAdd, StreamProgram
 from repro.obs.session import Observation
 from repro.sim.engine import check_scheduler
+from repro.sim.stats import Stats
+
+#: Version tag of the serialized :class:`ScatterRun` format.
+RUN_SCHEMA = "repro.run/2"
 
 
 def _validate_indices(b, size):
@@ -97,26 +95,32 @@ def scatter_op_reference(op, a, b, c):
 class ScatterRun:
     """Result of one simulated scatter operation.
 
-    Carries the produced array, the timing measurement, the statistics bag,
-    and -- when the :class:`Simulation` was created with ``sample_every`` or
-    ``trace`` -- the :class:`~repro.obs.session.Observation` holding
-    per-component timelines and the event trace.
+    Carries the produced array, the timing measurement, the metric store
+    (:class:`~repro.sim.stats.Stats`), and -- when the :class:`Simulation`
+    was created with ``sample_every`` or ``trace`` -- the
+    :class:`~repro.obs.session.Observation` holding per-component timelines
+    and the event trace.
     """
 
-    def __init__(self, result, program_result, observation=None):
+    #: Schema tag of the serialized form (:meth:`to_dict`).
+    SCHEMA = RUN_SCHEMA
+
+    def __init__(self, result, config, cycles, stats, mem_refs,
+                 observation=None):
         self.result = result
-        self.config = program_result.config
-        self.cycles = program_result.cycles
-        self.microseconds = program_result.microseconds
-        self.stats = program_result.stats
-        self.mem_refs = program_result.mem_refs
+        self.config = config
+        self.cycles = cycles
+        self.stats = stats
+        self.mem_refs = mem_refs
         self.observation = observation
         # Populated on deserialized runs (see from_dict); live runs read
-        # these from the observation / metric registry instead.
+        # these from the observation instead.
         self._breakdown = None
         self._timelines = None
-        self._gauges = None
-        self._histograms = None
+
+    @property
+    def microseconds(self):
+        return self.config.cycles_to_us(self.cycles)
 
     def bottlenecks(self, top=None):
         """Components ranked by busy fraction (see ``repro.harness.report``)."""
@@ -187,18 +191,14 @@ class ScatterRun:
     def to_dict(self):
         """Lossless, JSON-serializable form of this run.
 
-        Captures the result array, timing, the full counter bag, typed
-        gauges/histograms, the machine configuration, and — when the run
-        was observed — sampled timelines and the request-latency
-        attribution table.  :meth:`from_dict` restores an equivalent run:
+        Captures the result array, timing, every metric of the run's
+        ``Stats`` (counters, gauges, histograms), the machine
+        configuration, and — when the run was observed — sampled
+        timelines and the request-latency attribution table.
+        :meth:`from_dict` restores an equivalent run:
         ``ScatterRun.from_dict(run.to_dict())`` round-trips exactly
         (float64 values survive via JSON's repr round-trip).
         """
-        gauges, histograms = self._gauges, self._histograms
-        if gauges is None:
-            snapshot = self.stats.registry.snapshot()
-            gauges = snapshot["gauges"]
-            histograms = snapshot["histograms"]
         timelines = self._timelines
         breakdown = self._breakdown
         if self.observation is not None:
@@ -208,15 +208,16 @@ class ScatterRun:
                                  for timeline in scope.timelines}
                 if breakdown is None and scope.request_tracer is not None:
                     breakdown = scope.request_tracer.breakdown()
+        snapshot = self.stats.snapshot()
         return {
-            "schema": RUN_SCHEMA,
+            "schema": self.SCHEMA,
             "result": [float(value) for value in np.asarray(self.result).ravel()],
             "cycles": int(self.cycles),
             "microseconds": float(self.microseconds),
             "mem_refs": int(self.mem_refs),
-            "stats": self.stats.as_dict(),
-            "gauges": gauges,
-            "histograms": histograms,
+            "stats": snapshot["counters"],
+            "gauges": snapshot["gauges"],
+            "histograms": snapshot["histograms"],
             "config": self.config.to_dict(),
             "timelines": timelines,
             "latency_breakdown": breakdown,
@@ -225,26 +226,18 @@ class ScatterRun:
     @classmethod
     def from_dict(cls, data):
         """Rebuild a run from :meth:`to_dict` output."""
-        from repro.sim.stats import Stats
-
-        if not isinstance(data, dict) or data.get("schema") != RUN_SCHEMA:
-            raise ValueError("not a serialized ScatterRun (schema %r != %r)"
-                             % (data.get("schema") if isinstance(data, dict)
-                                else type(data).__name__, RUN_SCHEMA))
-        run = cls.__new__(cls)
-        run.result = np.asarray(data["result"], dtype=np.float64)
-        run.config = MachineConfig.from_dict(data["config"])
-        run.cycles = int(data["cycles"])
-        run.microseconds = float(data["microseconds"])
-        run.mem_refs = int(data["mem_refs"])
-        run.stats = Stats()
-        for name, value in data["stats"].items():
-            run.stats.set(name, value)
-        run.observation = None
+        if not isinstance(data, dict) or data.get("schema") != cls.SCHEMA:
+            raise ValueError("not a serialized %s (schema %r != %r)"
+                             % (cls.__name__,
+                                data.get("schema") if isinstance(data, dict)
+                                else type(data).__name__, cls.SCHEMA))
+        stats = Stats.from_snapshot(data["stats"], data["gauges"],
+                                    data["histograms"])
+        run = cls(np.asarray(data["result"], dtype=np.float64),
+                  MachineConfig.from_dict(data["config"]),
+                  int(data["cycles"]), stats, int(data["mem_refs"]))
         run._breakdown = data.get("latency_breakdown")
         run._timelines = data.get("timelines")
-        run._gauges = data.get("gauges") or {}
-        run._histograms = data.get("histograms") or {}
         return run
 
     def save(self, path):
@@ -348,11 +341,10 @@ class Simulation:
 
         ``run.result`` equals the matching reference function exactly.
 
-        Multi-node configurations (``config.nodes > 1`` or a
-        ``NetworkConfig`` with several nodes) dispatch to
-        :class:`~repro.multinode.system.MultiNodeSystem` and return a
-        :class:`~repro.multinode.system.MultiNodeRun` — same
-        serialization surface, so callers treat both alike.
+        Multi-node configurations (``config.network.nodes > 1``) dispatch
+        to :class:`~repro.multinode.system.MultiNodeSystem` and return a
+        :class:`~repro.multinode.system.MultiNodeRun` — a
+        :class:`ScatterRun` subclass, so callers treat both alike.
         Only ``"scatter_add"`` is supported across nodes.
         """
         from repro.node.agu import StreamMemOp
@@ -383,7 +375,9 @@ class Simulation:
             stream_op = StreamMemOp(op, addrs, op_values)
         program_result = processor.run(StreamProgram([Phase([stream_op])]))
         result = processor.read_result(base, num_targets)
-        return ScatterRun(result, program_result, observation=observation)
+        return ScatterRun(result, self.config, program_result.cycles,
+                          program_result.stats, program_result.mem_refs,
+                          observation=observation)
 
     def _run_multinode(self, op, indices, values, *, num_targets, initial,
                        base):
@@ -430,14 +424,3 @@ class Simulation:
 
     def __repr__(self):
         return "Simulation(%r, chaining=%r)" % (self.config, self.chaining)
-
-
-# Deprecated entry points (simulate_scatter_add, simulate_scatter_op,
-# ScatterAddRun) live in repro._compat; re-exported here because this
-# module is their historical home.  The import sits at the bottom since
-# the shims build on Simulation.
-from repro import _compat as _compat  # noqa: E402
-
-simulate_scatter_add = _compat.simulate_scatter_add
-simulate_scatter_op = _compat.simulate_scatter_op
-ScatterAddRun = _compat.ScatterAddRun

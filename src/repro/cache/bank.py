@@ -83,15 +83,14 @@ class CacheBank(Component):
 
         # Typed metric handles (see repro.obs.metrics): created once,
         # bumped on the hot path; counters write through to `stats`.
-        registry = stats.registry
-        self._m_hits = registry.counter(name + ".hits")
-        self._m_misses = registry.counter(name + ".misses")
-        self._m_mshr_hits = registry.counter(name + ".mshr_hits")
-        self._m_writebacks = registry.counter(name + ".writebacks")
-        self._m_sumbacks = registry.counter(name + ".sumbacks")
-        self._m_sumback_words = registry.counter(name + ".sumback_words")
-        self._m_victim_reclaims = registry.counter(name + ".victim_reclaims")
-        self._m_combining_allocs = registry.counter(name + ".combining_allocs")
+        self._m_hits = stats.counter(name + ".hits")
+        self._m_misses = stats.counter(name + ".misses")
+        self._m_mshr_hits = stats.counter(name + ".mshr_hits")
+        self._m_writebacks = stats.counter(name + ".writebacks")
+        self._m_sumbacks = stats.counter(name + ".sumbacks")
+        self._m_sumback_words = stats.counter(name + ".sumback_words")
+        self._m_victim_reclaims = stats.counter(name + ".victim_reclaims")
+        self._m_combining_allocs = stats.counter(name + ".combining_allocs")
 
         self.req_in = sim.fifo(capacity=8, name=name + ".req_in")
         self.fill_in = sim.fifo(capacity=None, name=name + ".fill_in")

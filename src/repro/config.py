@@ -13,8 +13,7 @@ the Merrimac scatter-add unit).
 
 import hashlib
 import json
-from dataclasses import dataclass, fields, replace
-from typing import Optional
+from dataclasses import dataclass, field, fields, replace
 
 #: Bytes per machine word (64-bit floating point / integer).
 WORD_BYTES = 8
@@ -25,20 +24,18 @@ WORD_BYTES = 8
 #: :meth:`MachineConfig.canonical_hash` is invalidated wholesale instead of
 #: silently serving results computed under other semantics.
 #:
-#: Optional sub-structures that are *omitted* from the canonical form when
-#: unset (such as :attr:`MachineConfig.network`) do not require a bump:
-#: configs that never set them serialize byte-identically across schema
-#: generations, so their hashes stay stable.
-CONFIG_SCHEMA = "repro.config/1"
+#: Generation 2 always nests the interconnect under ``network`` (a
+#: :class:`NetworkConfig`); generation 1 spelled the node count and link
+#: bandwidth as top-level scalars.
+CONFIG_SCHEMA = "repro.config/2"
 
 
 @dataclass(frozen=True)
 class NetworkConfig:
     """Structured description of the multi-node interconnect.
 
-    Replaces the loose ``nodes``/``network_bw_words`` scalars of
-    :class:`MachineConfig` (which remain as mirrored deprecation shims).
-    Nested under :attr:`MachineConfig.network`::
+    Nested under :attr:`MachineConfig.network`; the default is a single
+    node (no network)::
 
         MachineConfig(network=NetworkConfig(nodes=64, topology="tree",
                                             tree_radix=4,
@@ -189,14 +186,6 @@ class MachineConfig:
     stream_op_overhead: int = 220
 
     # --- multi-node parameters (Section 4.5) --------------------------------
-    #: Deprecated scalar spelling; prefer ``network=NetworkConfig(nodes=N)``.
-    #: When :attr:`network` is set this mirrors ``network.nodes``.
-    nodes: int = 1
-    #: Per-node network bandwidth in words/cycle.  The paper evaluates
-    #: 1 word/cycle ("low") and 8 words/cycle ("high").  Deprecated scalar
-    #: spelling; when :attr:`network` is set this mirrors
-    #: ``network.link_bw_words``.
-    network_bw_words: int = 8
     #: Two-phase cache-combining optimisation (Section 3.2, multi-node).
     cache_combining: bool = False
     #: Hierarchical combining (Section 5 future work): sum-backs travel
@@ -204,35 +193,17 @@ class MachineConfig:
     #: cross-node combining costs O(log N) instead of O(N) messages per
     #: address.  Requires cache_combining.
     hierarchical_combining: bool = False
-    #: Structured interconnect description (:class:`NetworkConfig`); also
-    #: accepts a plain dict.  ``None`` means "the legacy scalars describe
-    #: the network" — use :attr:`network_config` for a resolved view.  The
-    #: canonical serialization omits this field when unset so existing
-    #: configs keep their :meth:`canonical_hash` byte-identically.
-    network: Optional[NetworkConfig] = None
+    #: The interconnect (:class:`NetworkConfig`); also accepts a plain
+    #: dict of its fields.  The paper evaluates link bandwidths of 1 word
+    #: per cycle ("low") and 8 ("high").
+    network: NetworkConfig = field(default_factory=NetworkConfig)
 
     def __post_init__(self):
-        network = self.network
-        if isinstance(network, dict):
-            network = NetworkConfig.from_dict(network)
-            object.__setattr__(self, "network", network)
-        if network is not None:
-            _require(isinstance(network, NetworkConfig),
-                     "network must be a NetworkConfig (or dict of its fields)")
-            # The legacy scalars mirror the structured form so every
-            # existing config.nodes / config.network_bw_words reader keeps
-            # working.  Explicitly passing a *conflicting* scalar alongside
-            # `network` is an error (defaults are 1 and 8).
-            _require(self.nodes in (1, network.nodes),
-                     "nodes=%r conflicts with network.nodes=%r"
-                     % (self.nodes, network.nodes))
-            _require(self.network_bw_words in (8, network.link_bw_words),
-                     "network_bw_words=%r conflicts with "
-                     "network.link_bw_words=%r"
-                     % (self.network_bw_words, network.link_bw_words))
-            object.__setattr__(self, "nodes", network.nodes)
-            object.__setattr__(self, "network_bw_words",
-                               network.link_bw_words)
+        if isinstance(self.network, dict):
+            object.__setattr__(self, "network",
+                               NetworkConfig.from_dict(self.network))
+        _require(isinstance(self.network, NetworkConfig),
+                 "network must be a NetworkConfig (or dict of its fields)")
         _require(self.cache_banks >= 1, "cache_banks must be >= 1")
         _require(
             self.cache_banks & (self.cache_banks - 1) == 0,
@@ -253,8 +224,6 @@ class MachineConfig:
                  "dram_scheduling must be 'inorder' or 'frfcfs'")
         _require(self.dram_row_words >= 1, "dram_row_words must be >= 1")
         _require(self.uniform_interval >= 1, "uniform_interval must be >= 1")
-        _require(self.nodes >= 1, "nodes must be >= 1")
-        _require(self.network_bw_words >= 1, "network_bw_words must be >= 1")
         _require(not self.hierarchical_combining or self.cache_combining,
                  "hierarchical_combining requires cache_combining")
 
@@ -311,17 +280,9 @@ class MachineConfig:
         return cycles * self.cycle_time_us
 
     @property
-    def network_config(self):
-        """The resolved :class:`NetworkConfig`, whichever spelling was used.
-
-        Returns :attr:`network` when set; otherwise synthesizes the
-        degenerate crossbar description from the legacy scalars.  This is
-        the accessor the multi-node system builds from.
-        """
-        if self.network is not None:
-            return self.network
-        return NetworkConfig(nodes=self.nodes,
-                             link_bw_words=self.network_bw_words)
+    def nodes(self):
+        """Number of stream-processor nodes (``network.nodes``)."""
+        return self.network.nodes
 
     def with_changes(self, **changes):
         """Return a copy with the given fields replaced (and re-validated)."""
@@ -331,19 +292,11 @@ class MachineConfig:
     def to_dict(self):
         """Every field as a plain, JSON-serializable dict (sorted keys).
 
-        The optional ``network`` sub-structure is omitted when unset (so
-        configs predating it — and configs not using it — serialize, and
-        therefore hash, exactly as before) and nested as a plain dict when
-        set.
+        ``network`` nests as the plain dict of its own fields.
         """
-        data = {}
-        for field in sorted(fields(self), key=lambda f: f.name):
-            value = getattr(self, field.name)
-            if field.name == "network":
-                if value is None:
-                    continue
-                value = value.to_dict()
-            data[field.name] = value
+        data = {name: getattr(self, name)
+                for name in sorted(f.name for f in fields(self))}
+        data["network"] = self.network.to_dict()
         return data
 
     @classmethod
@@ -400,35 +353,6 @@ class MachineConfig:
             uniform_interval=interval,
             combining_store_entries=combining_store_entries,
             fu_latency=fu_latency,
-        )
-
-    @classmethod
-    def multinode(cls, nodes, network_bw_words=8, cache_combining=False,
-                  hierarchical_combining=False):
-        """A multi-node system of Table 1 nodes (Section 4.5).
-
-        Deprecated: spell the interconnect structurally instead ::
-
-            MachineConfig(network=NetworkConfig(nodes=N, link_bw_words=B),
-                          cache_combining=..., hierarchical_combining=...)
-
-        The shim warns through :func:`repro._compat.warn_deprecated` and
-        builds the equivalent structured config (crossbar topology,
-        memory-side combining) — behaviorally identical to the legacy
-        scalars.
-        """
-        from repro import _compat
-
-        _compat.warn_deprecated(
-            "MachineConfig.multinode()",
-            "MachineConfig(network=NetworkConfig(nodes=..., "
-            "link_bw_words=...))",
-        )
-        return cls(
-            network=NetworkConfig(nodes=nodes,
-                                  link_bw_words=network_bw_words),
-            cache_combining=cache_combining,
-            hierarchical_combining=hierarchical_combining,
         )
 
 

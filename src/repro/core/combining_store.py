@@ -64,8 +64,8 @@ class CombiningStore:
         self._occupancy_hist = None
         self._peak_gauge = None
 
-    def attach_metrics(self, registry, prefix):
-        """Report occupancy into a typed-metric registry.
+    def attach_metrics(self, stats, prefix):
+        """Report occupancy into a :class:`~repro.sim.stats.Stats` store.
 
         Creates ``<prefix>.occupancy`` -- a fixed-bucket histogram of the
         store occupancy observed at each allocation (power-of-two edges up
@@ -78,9 +78,8 @@ class CombiningStore:
             edges.append(edge)
             edge *= 2
         edges.append(self.capacity)
-        self._occupancy_hist = registry.histogram(prefix + ".occupancy",
-                                                  edges)
-        self._peak_gauge = registry.gauge(prefix + ".peak_occupancy")
+        self._occupancy_hist = stats.histogram(prefix + ".occupancy", edges)
+        self._peak_gauge = stats.gauge(prefix + ".peak_occupancy")
 
     @property
     def occupancy(self):

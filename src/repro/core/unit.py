@@ -66,17 +66,16 @@ class ScatterAddUnit(Component):
         self.fu = AddPipeline(config.fu_latency)
         # Typed metric handles (see repro.obs.metrics): created once here,
         # bumped on the hot path; counters write through to `stats`.
-        registry = stats.registry
-        self.store.attach_metrics(registry, name + ".store")
-        self._m_sums = registry.counter(name + ".sums")
-        self._m_fu_sums = registry.counter("fu.sums")
-        self._m_chained = registry.counter(name + ".chained")
-        self._m_result_writes = registry.counter(name + ".result_writes")
-        self._m_value_reads = registry.counter(name + ".value_reads")
-        self._m_bypassed = registry.counter(name + ".bypassed")
-        self._m_stall_cycles = registry.counter(name + ".stall_cycles")
-        self._m_atomics = registry.counter(name + ".atomics")
-        self._m_combined = registry.counter(name + ".combined")
+        self.store.attach_metrics(stats, name + ".store")
+        self._m_sums = stats.counter(name + ".sums")
+        self._m_fu_sums = stats.counter("fu.sums")
+        self._m_chained = stats.counter(name + ".chained")
+        self._m_result_writes = stats.counter(name + ".result_writes")
+        self._m_value_reads = stats.counter(name + ".value_reads")
+        self._m_bypassed = stats.counter(name + ".bypassed")
+        self._m_stall_cycles = stats.counter(name + ".stall_cycles")
+        self._m_atomics = stats.counter(name + ".atomics")
+        self._m_combined = stats.counter(name + ".combined")
         self.mem_out = mem_out
         self.chaining = chaining
         self.req_in = sim.fifo(capacity=4, name=name + ".req_in")

@@ -11,7 +11,7 @@ import dataclasses
 
 import numpy as np
 
-from repro.config import MachineConfig
+from repro.config import MachineConfig, NetworkConfig
 from repro.harness.report import ExperimentResult
 from repro.multinode.system import MultiNodeSystem
 from repro.workloads.histogram import HistogramWorkload
@@ -26,7 +26,13 @@ def table1():
     rows = [
         {"parameter": field.name, "value": getattr(config, field.name)}
         for field in dataclasses.fields(MachineConfig)
+        if field.name != "network"
     ]
+    rows.extend(
+        {"parameter": "network." + field.name,
+         "value": getattr(config.network, field.name)}
+        for field in dataclasses.fields(NetworkConfig)
+    )
     rows.extend([
         {"parameter": "cache_words_per_cycle (derived)",
          "value": config.cache_words_per_cycle},
@@ -323,8 +329,8 @@ def figure13(node_counts=(1, 2, 4, 8), series=FIGURE13_SERIES, scale=1.0,
         row = {"nodes": nodes}
         for kind, bandwidth, combining in series:
             indices, targets = traces[kind]
-            config = MachineConfig.multinode(
-                nodes, network_bw_words=bandwidth,
+            config = MachineConfig(
+                network=NetworkConfig(nodes=nodes, link_bw_words=bandwidth),
                 cache_combining=combining,
             )
             system = MultiNodeSystem(config, address_space=targets)
@@ -403,7 +409,6 @@ def network_ablation(node_counts=(4, 16, 64, 256, 1024),
     baseline at the same node count.
     """
     from repro.api import scatter_add_reference
-    from repro.config import NetworkConfig
 
     rows = []
     for nodes in node_counts:

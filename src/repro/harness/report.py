@@ -148,12 +148,12 @@ def _component_events(values, config):
             cap = float(config.agu_words_per_cycle) if config else 1.0
             add(component, value, cap)
         elif suffix == "words" and config is not None and "xbar" in component:
-            cap = float(config.nodes * config.network_bw_words)
+            cap = float(config.nodes * config.network.link_bw_words)
             add(component, value, cap)
         elif key == "sim.network.hops":
             # The fabric forwards up to bw words per link per cycle;
             # aggregate hop throughput is bounded by the injection ports.
-            cap = (float(config.nodes * config.network_bw_words)
+            cap = (float(config.nodes * config.network.link_bw_words)
                    if config else 1.0)
             add("network", value, cap)
         elif suffix in ("local_refs", "combined_refs", "remote_refs"):

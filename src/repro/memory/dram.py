@@ -34,12 +34,11 @@ class _MemoryEndpoint(Component):
         self._seq = 0
         # Typed metric handles (see repro.obs.metrics); counters write
         # through to `stats` under the exact legacy names.
-        registry = stats.registry
-        self._m_reads = registry.counter(name + ".reads")
-        self._m_read_words = registry.counter(name + ".read_words")
-        self._m_writes = registry.counter(name + ".writes")
-        self._m_write_words = registry.counter(name + ".write_words")
-        self._m_busy_cycles = registry.counter(name + ".busy_cycles")
+        self._m_reads = stats.counter(name + ".reads")
+        self._m_read_words = stats.counter(name + ".read_words")
+        self._m_writes = stats.counter(name + ".writes")
+        self._m_write_words = stats.counter(name + ".write_words")
+        self._m_busy_cycles = stats.counter(name + ".busy_cycles")
 
     def _schedule(self, request, ready_cycle):
         heapq.heappush(self._due, (ready_cycle, self._seq, request))
@@ -133,10 +132,9 @@ class DRAMSystem(_MemoryEndpoint):
         self.hit_latency = config.dram_row_hit_latency
         self.miss_latency = config.dram_row_miss_latency
         self.frfcfs = config.dram_scheduling == "frfcfs"
-        registry = stats.registry
-        self._m_sched_reorders = registry.counter(name + ".sched_reorders")
-        self._m_row_hits = registry.counter(name + ".row_hits")
-        self._m_row_misses = registry.counter(name + ".row_misses")
+        self._m_sched_reorders = stats.counter(name + ".sched_reorders")
+        self._m_row_hits = stats.counter(name + ".row_hits")
+        self._m_row_misses = stats.counter(name + ".row_misses")
         self.req_in = sim.fifo(capacity=4 * self.channels, name=name + ".req_in")
         self._channel_queues = [deque() for _ in range(self.channels)]
         self._channel_free_at = [0] * self.channels

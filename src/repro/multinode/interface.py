@@ -40,12 +40,11 @@ class NodeInterface(Component):
         self.hierarchical = config.hierarchical_combining
         self.width = config.cache_words_per_cycle
         # Typed metric handles (see repro.obs.metrics).
-        registry = stats.registry
-        self._m_sumbacks = registry.counter(self.name + ".sumbacks")
-        self._m_tree_hops = registry.counter(self.name + ".tree_hops")
-        self._m_local_refs = registry.counter(self.name + ".local_refs")
-        self._m_combined_refs = registry.counter(self.name + ".combined_refs")
-        self._m_remote_refs = registry.counter(self.name + ".remote_refs")
+        self._m_sumbacks = stats.counter(self.name + ".sumbacks")
+        self._m_tree_hops = stats.counter(self.name + ".tree_hops")
+        self._m_local_refs = stats.counter(self.name + ".local_refs")
+        self._m_combined_refs = stats.counter(self.name + ".combined_refs")
+        self._m_remote_refs = stats.counter(self.name + ".remote_refs")
         # Sources filled by the node's AGUs; set by the system.
         self.sources = []
         #: Feeds the node's local memory-system router.

@@ -14,12 +14,12 @@ reported in additions' bytes per wall-clock time (GB/s at 1 GHz), the
 y-axis of Figure 13.
 """
 
-import json
 import math
 
 import numpy as np
 
-from repro.config import WORD_BYTES, MachineConfig
+from repro.api import ScatterRun
+from repro.config import WORD_BYTES
 from repro.multinode.interface import NodeInterface
 from repro.network.fabric import build_network
 from repro.node.agu import AddressGeneratorUnit
@@ -31,37 +31,24 @@ from repro.sim.engine import Simulator
 from repro.sim.stats import Stats
 
 #: Version tag of the serialized :class:`MultiNodeRun` format.
-MULTI_RUN_SCHEMA = "repro.multirun/1"
+MULTI_RUN_SCHEMA = "repro.multirun/2"
 
 
-class MultiNodeRun:
+class MultiNodeRun(ScatterRun):
     """Outcome of a multi-node scatter-add.
 
-    Shares the :class:`~repro.api.ScatterRun` surface — ``to_dict`` /
-    ``from_dict`` / ``save`` / ``load`` round-trip exactly and
-    ``write_metrics`` routes through :mod:`repro.obs.export` — so
-    multi-node runs save, reload and export metrics the same way
-    single-node runs do.
+    A :class:`~repro.api.ScatterRun` whose ``mem_refs`` counts the
+    scatter-add references spread over the nodes; it adds the Figure 13
+    throughput views and serializes under its own schema tag with an
+    extra ``refs`` key.
     """
 
-    def __init__(self, config, cycles, refs, result, stats,
-                 observation=None):
-        self.config = config
-        self.cycles = cycles
-        self.refs = refs
-        self.result = result
-        self.stats = stats
-        self.observation = observation
-        # Populated on deserialized runs (see from_dict); live runs read
-        # these from the observation / metric registry instead.
-        self._breakdown = None
-        self._timelines = None
-        self._gauges = None
-        self._histograms = None
+    SCHEMA = MULTI_RUN_SCHEMA
 
     @property
-    def microseconds(self):
-        return self.config.cycles_to_us(self.cycles)
+    def refs(self):
+        """Scatter-add references issued across all nodes."""
+        return self.mem_refs
 
     @property
     def throughput_gbs(self):
@@ -75,146 +62,10 @@ class MultiNodeRun:
     def additions_per_cycle(self):
         return self.refs / self.cycles if self.cycles else 0.0
 
-    @property
-    def mem_refs(self):
-        """ScatterRun-compatible alias for the reference count."""
-        return self.refs
-
-    def bottlenecks(self, top=None):
-        """Components ranked by busy fraction (see ``repro.harness.report``)."""
-        from repro.harness.report import bottlenecks
-
-        return bottlenecks(self.stats, self.cycles, config=self.config,
-                           top=top)
-
-    def latency_breakdown(self):
-        """Per-stage latency attribution of the sampled requests.
-
-        Requires the run to have been observed with request tracing (e.g.
-        ``Simulation(..., trace_requests=N)``).  Network stages appear as
-        ``net.queue`` (combining-table residency; absorbed requests end
-        here) and ``net.hop`` (link traversal).  On a deserialized run the
-        table captured at serialization time is returned.
-        """
-        from repro.harness.report import latency_breakdown
-
-        if self._breakdown is not None:
-            return self._breakdown
-        if self.observation is None:
-            raise ValueError(
-                "run was not request-traced; use "
-                "Simulation(..., trace_requests=N)")
-        for scope in self.observation.scopes:
-            if scope.request_tracer is not None:
-                return latency_breakdown(scope.request_tracer)
-        raise ValueError(
-            "run was not request-traced; use "
-            "Simulation(..., trace_requests=N)")
-
-    def write_trace(self, path):
-        """Write a chrome://tracing JSON file for this run.
-
-        Requires the run to have been observed with ``trace=True``.
-        """
-        from repro.obs.export import write_chrome_trace
-
-        if self.observation is None:
-            raise ValueError(
-                "run was not traced; use Simulation(..., trace=True)")
-        return write_chrome_trace(path, self.observation)
-
-    def write_metrics(self, path):
-        """Write the machine-readable metrics.json for this run.
-
-        Observed runs export their full observation; otherwise the payload
-        derives from :meth:`to_dict` — the same serialized form
-        :meth:`save` writes — so reloaded and live multi-node runs emit
-        byte-identical metrics.json.
-        """
-        if self.observation is not None:
-            from repro.obs.export import write_metrics
-
-            return write_metrics(path, self.observation)
-        from repro.obs.export import write_run_metrics
-
-        return write_run_metrics(path, self.to_dict())
-
-    # ------------------------------------------------------------------ #
-    # serialization (ScatterRun-parallel)
-    # ------------------------------------------------------------------ #
     def to_dict(self):
-        """Lossless, JSON-serializable form of this run.
-
-        ``MultiNodeRun.from_dict(run.to_dict())`` round-trips exactly.
-        The keys mirror :meth:`repro.api.ScatterRun.to_dict` (plus
-        ``refs``), so :func:`repro.obs.export.run_metrics_payload` handles
-        both run kinds identically.
-        """
-        gauges, histograms = self._gauges, self._histograms
-        if gauges is None:
-            snapshot = self.stats.registry.snapshot()
-            gauges = snapshot["gauges"]
-            histograms = snapshot["histograms"]
-        timelines = self._timelines
-        breakdown = self._breakdown
-        if self.observation is not None:
-            for scope in self.observation.scopes:
-                if timelines is None and scope.sampler is not None:
-                    timelines = {timeline.name: timeline.as_dict()
-                                 for timeline in scope.timelines}
-                if breakdown is None and scope.request_tracer is not None:
-                    breakdown = scope.request_tracer.breakdown()
-        return {
-            "schema": MULTI_RUN_SCHEMA,
-            "result": [float(value)
-                       for value in np.asarray(self.result).ravel()],
-            "cycles": int(self.cycles),
-            "microseconds": float(self.microseconds),
-            "refs": int(self.refs),
-            "mem_refs": int(self.refs),
-            "stats": self.stats.as_dict(),
-            "gauges": gauges,
-            "histograms": histograms,
-            "config": self.config.to_dict(),
-            "timelines": timelines,
-            "latency_breakdown": breakdown,
-        }
-
-    @classmethod
-    def from_dict(cls, data):
-        """Rebuild a run from :meth:`to_dict` output."""
-        if not isinstance(data, dict) or data.get("schema") != MULTI_RUN_SCHEMA:
-            raise ValueError(
-                "not a serialized MultiNodeRun (schema %r != %r)"
-                % (data.get("schema") if isinstance(data, dict)
-                   else type(data).__name__, MULTI_RUN_SCHEMA))
-        run = cls.__new__(cls)
-        run.config = MachineConfig.from_dict(data["config"])
-        run.cycles = int(data["cycles"])
-        run.refs = int(data["refs"])
-        run.result = np.asarray(data["result"], dtype=np.float64)
-        run.stats = Stats()
-        for name, value in data["stats"].items():
-            run.stats.set(name, value)
-        run.observation = None
-        run._breakdown = data.get("latency_breakdown")
-        run._timelines = data.get("timelines")
-        run._gauges = data.get("gauges") or {}
-        run._histograms = data.get("histograms") or {}
-        return run
-
-    def save(self, path):
-        """Write the serialized run (:meth:`to_dict`) as JSON to `path`."""
-        with open(path, "w") as handle:
-            json.dump(self.to_dict(), handle, sort_keys=True)
-            handle.write("\n")
-        return path
-
-    @classmethod
-    def load(cls, path):
-        """Read a run written by :meth:`save`; exact round-trip."""
-        with open(path) as handle:
-            return cls.from_dict(json.load(handle))
+        data = super().to_dict()
+        data["refs"] = int(self.refs)
+        return data
 
     def __repr__(self):
         return "MultiNodeRun(%d nodes, %d cycles, %.1f GB/s)" % (
@@ -226,8 +77,8 @@ class MultiNodeSystem:
     """N stream-processor nodes, an interconnect fabric, and
     block-partitioned memory.
 
-    The interconnect is whatever ``config.network_config`` describes: the
-    legacy input-queued crossbar (the degenerate, bit-exact default), a
+    The interconnect is whatever ``config.network`` describes: the
+    input-queued crossbar (the degenerate, bit-exact default), a
     combining crossbar switch, or a radix-r reduction tree of combining
     switches (see :mod:`repro.network.fabric`).  With combine site
     ``"network"`` the home scatter-add units run without combining-store
@@ -237,11 +88,8 @@ class MultiNodeSystem:
 
     def __init__(self, config, address_space, obs=None, engine=None,
                  chaining=True):
-        if config.nodes < 1:
-            raise ValueError("need at least one node")
         self.config = config
-        netcfg = config.network_config
-        self.network_config = netcfg
+        netcfg = config.network
         self.sim = Simulator(scheduler=engine)
         self.stats = Stats()
         observation = obs if obs is not None else obs_session.active()
@@ -303,9 +151,6 @@ class MultiNodeSystem:
             self.sim, self.stats, netcfg,
             dest_of=home_of, outputs=remote_ins,
         )
-        #: The legacy switch when the degenerate topology is in use
-        #: (kept for backward compatibility); ``None`` under the fabric.
-        self.crossbar = self.network.crossbar
         for node in range(nodes):
             self.interfaces[node].connect(
                 sources=[agu.out for agu in self.agus[node]],
@@ -387,5 +232,5 @@ class MultiNodeSystem:
         observation = None
         if self.obs_scope is not None:
             observation = self.obs_scope.observation
-        return MultiNodeRun(self.config, cycles, count, result, self.stats,
+        return MultiNodeRun(result, self.config, cycles, self.stats, count,
                             observation=observation)

@@ -40,11 +40,10 @@ class Crossbar(Component):
         # Typed metric handles (see repro.obs.metrics).  Per-destination
         # counters are pre-created so the arbitration loop never formats a
         # counter name per word.
-        registry = stats.registry
-        self._m_hol_blocks = registry.counter(name + ".hol_blocks")
-        self._m_words = registry.counter(name + ".words")
+        self._m_hol_blocks = stats.counter(name + ".hol_blocks")
+        self._m_words = stats.counter(name + ".words")
         self._m_words_to = [
-            registry.counter("%s.words_to%d" % (name, dest))
+            stats.counter("%s.words_to%d" % (name, dest))
             for dest in range(nodes)
         ]
         self._pipes = [

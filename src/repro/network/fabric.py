@@ -50,13 +50,13 @@ class NetworkMetrics:
 
     PREFIX = "sim.network"
 
-    def __init__(self, registry):
-        self.injected = registry.counter(self.PREFIX + ".injected")
-        self.delivered = registry.counter(self.PREFIX + ".delivered")
-        self.combined = registry.counter(self.PREFIX + ".combined_in_flight")
-        self.hops = registry.counter(self.PREFIX + ".hops")
-        self.hol_blocks = registry.counter(self.PREFIX + ".hol_blocks")
-        self._peak_gauge = registry.gauge(self.PREFIX + ".table_peak_occupancy")
+    def __init__(self, stats):
+        self.injected = stats.counter(self.PREFIX + ".injected")
+        self.delivered = stats.counter(self.PREFIX + ".delivered")
+        self.combined = stats.counter(self.PREFIX + ".combined_in_flight")
+        self.hops = stats.counter(self.PREFIX + ".hops")
+        self.hol_blocks = stats.counter(self.PREFIX + ".hol_blocks")
+        self._peak_gauge = stats.gauge(self.PREFIX + ".table_peak_occupancy")
         self._peak = 0
 
     def observe_table(self, occupancy):
@@ -310,7 +310,7 @@ def build_network(sim, stats, network, dest_of, outputs, name="net"):
         sim.register(crossbar)
         return Fabric(inputs=crossbar.inputs, crossbar=crossbar)
 
-    metrics = NetworkMetrics(stats.registry)
+    metrics = NetworkMetrics(stats)
     combine = network.network_combining
     if network.topology == "crossbar":
         switch = Switch(

@@ -94,9 +94,8 @@ class AddressGeneratorUnit(Component):
         self.width = config.agu_words_per_cycle
         # Typed metric handles (see repro.obs.metrics): one per-AGU refs
         # counter plus the shared memory-system total.
-        registry = stats.registry
-        self._m_refs = registry.counter(name + ".refs")
-        self._m_memsys_refs = registry.counter("memsys.refs")
+        self._m_refs = stats.counter(name + ".refs")
+        self._m_memsys_refs = stats.counter("memsys.refs")
         self.out = sim.fifo(capacity=2 * self.width, name=name + ".out")
         self.ack_in = sim.fifo(capacity=None, name=name + ".ack_in")
         self._queue = deque()

@@ -30,7 +30,7 @@ class Router(Component):
         self.target_of = target_of
         self.width = width if width is not None else config.cache_words_per_cycle
         # Typed metric handle (see repro.obs.metrics).
-        self._m_hol_blocks = stats.registry.counter(name + ".hol_blocks")
+        self._m_hol_blocks = stats.counter(name + ".hol_blocks")
         self._last_tick = -1
         self._moved = 0  # moves made by the most recent tick
         self._sleep_blocked = 0  # blocked sources at the end of that tick

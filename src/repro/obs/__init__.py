@@ -2,8 +2,8 @@
 
 Structured measurement for the simulator, layered on the event engine:
 
-- :mod:`~repro.obs.metrics` -- typed :class:`MetricRegistry` (counters,
-  gauges, fixed-bucket histograms) backing the flat ``Stats`` bag;
+- :mod:`~repro.obs.metrics` -- the metric types (counters, gauges,
+  fixed-bucket histograms) that :class:`~repro.sim.stats.Stats` owns;
 - :mod:`~repro.obs.sampling` -- cycle-window :class:`TimelineSampler`
   producing per-component occupancy/utilization timelines;
 - :mod:`~repro.obs.tracing` -- sampled per-request lifecycle spans
@@ -28,7 +28,7 @@ from repro.obs.export import (
     write_chrome_trace,
     write_metrics,
 )
-from repro.obs.metrics import Counter, Gauge, Histogram, MetricRegistry
+from repro.obs.metrics import Counter, Gauge, Histogram
 from repro.obs.sampling import Timeline, TimelineSampler, gather_probes
 from repro.obs.session import Observation, ObservationScope, active, observe
 from repro.obs.tracing import RequestTrace, RequestTracer, Span
@@ -38,7 +38,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "METRICS_SCHEMA",
-    "MetricRegistry",
     "Observation",
     "ObservationScope",
     "RequestTrace",

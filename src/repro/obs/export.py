@@ -10,7 +10,7 @@ Two machine-readable artifacts per observed run:
   :class:`~repro.sim.trace.TraceLog` events as instants (``ph: "i"``) and
   sampled timelines as counter tracks (``ph: "C"``).  Timestamps are
   simulated cycles (one trace microsecond per cycle).
-- **metrics.json**: the registry snapshot (counters, gauges, histograms),
+- **metrics.json**: the ``Stats`` snapshot (counters, gauges, histograms),
   sampled timelines, the bottleneck ranking and (when request tracing is
   on) the per-stage latency attribution table, per scope.
 
@@ -204,13 +204,10 @@ def metrics_payload(observation):
 
     scopes = []
     for scope in observation.scopes:
-        registry = scope.stats.registry
         entry = {
             "label": scope.label,
             "cycles": scope.cycles,
-            "counters": scope.stats.as_dict(),
-            "gauges": registry.snapshot()["gauges"],
-            "histograms": registry.snapshot()["histograms"],
+            **scope.stats.snapshot(),
             "timelines": {timeline.name: timeline.as_dict()
                           for timeline in scope.timelines},
             "bottlenecks": bottlenecks(scope.stats, scope.cycles,

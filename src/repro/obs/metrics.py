@@ -1,31 +1,26 @@
 """Typed metrics: counters, gauges and fixed-bucket histograms.
 
-A :class:`MetricRegistry` is the observability subsystem's front door.  It
-hands out *typed handles* that components create once (at construction)
-and update on the hot path, replacing ad-hoc ``stats.add("name")`` calls:
+The metric types :class:`~repro.sim.stats.Stats` hands out.  Components
+create their handles once (at construction, via ``stats.counter(name)``,
+``stats.gauge(name)`` and ``stats.histogram(name, edges)``) and update them
+on the hot path:
 
-- :class:`Counter` -- monotonically increasing event count.  Counters
-  write through to the backing :class:`~repro.sim.stats.Stats` counter of
-  the same name, so ``Stats.as_dict()`` output is bit-identical to the
-  pre-registry era and every existing consumer (reports, golden tests,
-  scheduler-equivalence suite) keeps working unchanged.
+- :class:`Counter` -- monotonically increasing event count.  A counter's
+  value lives in the owning ``Stats``' counter dict under its name, so
+  ``Stats.as_dict()`` lists it beside counters bumped with ``stats.add``.
 - :class:`Gauge` -- a point-in-time value (peak occupancy, capacity).
-  Gauges live in the registry only; they are exported via
-  ``metrics.json`` without perturbing the flat counter bag.
+  Gauges are exported via ``metrics.json`` but are not counters.
 - :class:`Histogram` -- a distribution over *fixed* bucket edges chosen at
   creation time (e.g. combining-store occupancy at each atomic accept).
   Buckets use less-or-equal semantics: ``counts[i]`` counts observations
   ``<= edges[i]``; the final bucket is the ``+inf`` overflow.
-
-Handles are memoized by name: asking twice returns the same object, and a
-histogram re-requested with different edges is a programming error.
 """
 
 from bisect import bisect_left
 
 
 class Counter:
-    """Monotonic event counter writing through to a shared ``Stats`` bag."""
+    """Monotonic event counter; its value lives in the ``Stats`` dict."""
 
     __slots__ = ("name", "_counters")
 
@@ -46,7 +41,7 @@ class Counter:
 
 
 class Gauge:
-    """A point-in-time value; registry-only (not mirrored into ``Stats``)."""
+    """A point-in-time value (not a counter)."""
 
     __slots__ = ("name", "value")
 
@@ -146,91 +141,3 @@ class Histogram:
 
     def __repr__(self):
         return "Histogram(%r, %d observations)" % (self.name, self.total)
-
-
-class MetricRegistry:
-    """Factory and directory of typed metric handles.
-
-    Backed by a :class:`~repro.sim.stats.Stats` object: counters write
-    straight into its flat bag (names and values identical to the former
-    raw ``stats.add`` calls); gauges and histograms are registry-only.
-    """
-
-    def __init__(self, stats):
-        self._stats = stats
-        self._counters = {}
-        self._gauges = {}
-        self._histograms = {}
-
-    def counter(self, name):
-        """Get (or create) the counter called `name`."""
-        handle = self._counters.get(name)
-        if handle is None:
-            handle = Counter(name, self._stats._counters)
-            self._counters[name] = handle
-        return handle
-
-    def gauge(self, name):
-        """Get (or create) the gauge called `name`."""
-        handle = self._gauges.get(name)
-        if handle is None:
-            handle = Gauge(name)
-            self._gauges[name] = handle
-        return handle
-
-    def histogram(self, name, edges=None):
-        """Get (or create) the histogram called `name` with fixed `edges`."""
-        handle = self._histograms.get(name)
-        if handle is None:
-            if edges is None:
-                raise ValueError("histogram %r does not exist yet; edges "
-                                 "are required to create it" % (name,))
-            handle = Histogram(name, edges)
-            self._histograms[name] = handle
-        elif edges is not None and tuple(edges) != handle.edges:
-            raise ValueError(
-                "histogram %r already exists with edges %r (requested %r)"
-                % (name, handle.edges, tuple(edges))
-            )
-        return handle
-
-    # ------------------------------------------------------------------ #
-    def counter_names(self):
-        return sorted(self._counters)
-
-    def merge(self, other):
-        """Fold another registry's gauges/histograms into this one.
-
-        Counter *values* travel with the shared ``Stats`` bag
-        (``Stats.merge``); this merges the typed-metric side so sweep
-        aggregation keeps distributions too.  Gauges keep the maximum.
-        """
-        for name, gauge in other._gauges.items():
-            self.gauge(name).maximum(gauge.value)
-        for name, histogram in other._histograms.items():
-            mine = self._histograms.get(name)
-            if mine is None:
-                self.histogram(name, histogram.edges).merge(histogram)
-            else:
-                mine.merge(histogram)
-        for name in other._counters:
-            self.counter(name)
-        return self
-
-    def snapshot(self):
-        """Plain-dict export for ``metrics.json``."""
-        return {
-            "counters": {
-                name: self._stats._counters.get(name, 0)
-                for name in self._counters
-            },
-            "gauges": {name: gauge.value
-                       for name, gauge in self._gauges.items()},
-            "histograms": {name: histogram.as_dict()
-                           for name, histogram in self._histograms.items()},
-        }
-
-    def __repr__(self):
-        return "MetricRegistry(%d counters, %d gauges, %d histograms)" % (
-            len(self._counters), len(self._gauges), len(self._histograms),
-        )

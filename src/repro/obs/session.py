@@ -91,7 +91,7 @@ class ObservationScope:
         self.request_tracer = None
         if observation.trace_requests:
             self.request_tracer = RequestTracer(observation.trace_requests,
-                                                stats.registry)
+                                                stats)
 
     def install_sampler(self):
         """Register the timeline sampler; call once components exist."""

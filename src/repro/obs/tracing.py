@@ -27,8 +27,8 @@ a single ``request.trace is not None`` attribute check -- no allocation,
 no arithmetic, no new components.  Tracing on adds bookkeeping for the
 sampled requests only and **never** changes simulated behaviour: the
 golden suite asserts cycle counts and ``Stats.as_dict()`` are
-bit-identical with tracing on vs. off (histogram handles live in the
-registry only, never in the flat ``Stats`` bag).
+bit-identical with tracing on vs. off (tracing records histograms only,
+never counters).
 
 Span taxonomy (stage -> queueing or service):
 
@@ -163,27 +163,27 @@ class RequestTracer:
     """Samples 1-in-`every` requests and aggregates their completed traces.
 
     One tracer per observation scope.  Latency distributions live in the
-    scope's :class:`~repro.obs.metrics.MetricRegistry` under
+    scope's :class:`~repro.sim.stats.Stats` under
     ``reqtrace.stage.<stage>`` / ``reqtrace.e2e`` /
-    ``reqtrace.combine_fanout`` (histograms only -- the flat ``Stats``
-    bag is never touched, keeping golden stats bit-identical).  Completed
+    ``reqtrace.combine_fanout`` (histograms only -- no counter is
+    touched, keeping golden stats bit-identical).  Completed
     trace objects are kept (up to `max_traces`) for flow-event export.
     """
 
-    def __init__(self, every, registry, max_traces=10_000):
+    def __init__(self, every, stats, max_traces=10_000):
         if every < 1:
             raise ValueError("trace-requests sampling period must be >= 1 "
                              "(got %r)" % (every,))
         self.every = every
-        self.registry = registry
+        self.stats = stats
         self.max_traces = max_traces
         self.traces = []
         self.dropped = 0
         self._seen = 0
         self._next_rid = 0
-        self._e2e = registry.histogram("reqtrace.e2e", LATENCY_EDGES)
-        self._fanout = registry.histogram("reqtrace.combine_fanout",
-                                          FANOUT_EDGES)
+        self._e2e = stats.histogram("reqtrace.e2e", LATENCY_EDGES)
+        self._fanout = stats.histogram("reqtrace.combine_fanout",
+                                       FANOUT_EDGES)
         self._stages = {}  # stage name -> Histogram
 
     # ------------------------------------------------------------------ #
@@ -208,8 +208,8 @@ class RequestTracer:
     def _stage_histogram(self, stage):
         histogram = self._stages.get(stage)
         if histogram is None:
-            histogram = self.registry.histogram("reqtrace.stage." + stage,
-                                                LATENCY_EDGES)
+            histogram = self.stats.histogram("reqtrace.stage." + stage,
+                                             LATENCY_EDGES)
             self._stages[stage] = histogram
         return histogram
 

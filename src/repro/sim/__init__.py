@@ -11,7 +11,8 @@ reproduction is built on:
   back-pressure.
 - :class:`~repro.sim.queues.LatencyPipe` -- a delay line for modelling fixed
   latencies (DRAM access, functional-unit pipelines).
-- :class:`~repro.sim.stats.Stats` -- hierarchical event counters.
+- :class:`~repro.sim.stats.Stats` -- the run's metric store (counters,
+  gauges, histograms).
 
 The engine is intentionally simple: all state changes happen inside
 ``tick()``; communication between components only happens through FIFOs and

@@ -1,36 +1,70 @@
-"""Event counters shared by all simulated components.
+"""The one metric store shared by all simulated components.
 
-A single :class:`Stats` object is threaded through a model; components
-increment named counters (``stats.add("dram.reads")``).  Counters are plain
-integers/floats grouped by dotted names, with helpers for merging and
-pretty-printing, which the experiment harness uses to report the paper's
-"FP Operations" and "Mem References" bars (Figures 9 and 10).
-
-The typed-metric layer (:mod:`repro.obs.metrics`) sits on top: components
-obtain handles from :attr:`Stats.registry` once at construction and bump
-them on the hot path.  Counter handles write through to this same flat
-bag, so :meth:`as_dict` output is identical to the pre-registry era;
-gauges and histograms live only in the registry.
+A single :class:`Stats` object is threaded through a model and owns every
+metric of the run, by dotted name: counters, gauges and fixed-bucket
+histograms (the types live in :mod:`repro.obs.metrics`).  Components
+obtain handles once at construction (``stats.counter("dram.reads")``,
+``stats.gauge(...)``, ``stats.histogram(...)``) and bump them on the hot
+path; a counter handle's ``inc`` is one add into the counter dict, which
+:meth:`add` also writes.  Counters are plain integers/floats, with helpers
+for merging and pretty-printing, which the experiment harness uses to
+report the paper's "FP Operations" and "Mem References" bars (Figures 9
+and 10).  :meth:`snapshot` exports all three kinds for ``metrics.json``
+and saved runs; :meth:`from_snapshot` restores them.
 """
 
 from collections import defaultdict
 
+from repro.obs.metrics import Counter, Gauge, Histogram
+
 
 class Stats:
-    """A flat bag of dotted-name counters."""
+    """Counters, gauges and histograms of one run, by dotted name."""
 
     def __init__(self):
         self._counters = defaultdict(float)
-        self._registry = None
+        self._counter_handles = {}
+        self._gauges = {}
+        self._histograms = {}
 
-    @property
-    def registry(self):
-        """The typed-metric registry backed by this bag (lazily created)."""
-        if self._registry is None:
-            from repro.obs.metrics import MetricRegistry
+    # --- typed handles ----------------------------------------------------
+    def counter(self, name):
+        """Get (or create) the counter handle called `name`."""
+        handle = self._counter_handles.get(name)
+        if handle is None:
+            handle = Counter(name, self._counters)
+            self._counter_handles[name] = handle
+        return handle
 
-            self._registry = MetricRegistry(self)
-        return self._registry
+    def gauge(self, name):
+        """Get (or create) the gauge called `name`."""
+        handle = self._gauges.get(name)
+        if handle is None:
+            handle = Gauge(name)
+            self._gauges[name] = handle
+        return handle
+
+    def histogram(self, name, edges=None):
+        """Get (or create) the histogram called `name` with fixed `edges`.
+
+        Edges are required on first use; re-requesting with different
+        edges is a programming error.
+        """
+        handle = self._histograms.get(name)
+        if handle is None:
+            if edges is None:
+                raise ValueError("histogram %r does not exist yet; edges "
+                                 "are required to create it" % (name,))
+            handle = Histogram(name, edges)
+            self._histograms[name] = handle
+        elif edges is not None and tuple(edges) != handle.edges:
+            raise ValueError(
+                "histogram %r already exists with edges %r (requested %r)"
+                % (name, handle.edges, tuple(edges))
+            )
+        return handle
+
+    # --- counters -----------------------------------------------------------
 
     def add(self, name, amount=1):
         """Increment counter `name` by `amount`."""
@@ -84,21 +118,46 @@ class Stats:
         return self
 
     def merge(self, other):
-        """Add every counter from `other` into this object.
+        """Fold every metric of `other` into this object.
 
-        Typed gauges/histograms travel too when `other` carries a registry
-        (counter handles need nothing extra: their values live in the flat
-        bag merged above).
+        Counters add, gauges keep the maximum and histograms (which must
+        share edges) accumulate.
         """
         for name, value in other._counters.items():
             self._counters[name] += value
-        if other._registry is not None:
-            self.registry.merge(other._registry)
+        for name, gauge in other._gauges.items():
+            self.gauge(name).maximum(gauge.value)
+        for name, histogram in other._histograms.items():
+            self.histogram(name, histogram.edges).merge(histogram)
         return self
 
     def as_dict(self):
-        """Snapshot as a plain dict."""
+        """The counters as a plain dict."""
         return dict(self._counters)
+
+    def snapshot(self):
+        """Plain-dict export of every metric, for ``metrics.json``."""
+        return {
+            "counters": self.as_dict(),
+            "gauges": {name: gauge.value
+                       for name, gauge in self._gauges.items()},
+            "histograms": {name: histogram.as_dict()
+                           for name, histogram in self._histograms.items()},
+        }
+
+    @classmethod
+    def from_snapshot(cls, counters, gauges, histograms):
+        """Rebuild the store :meth:`snapshot` exported (exact round trip)."""
+        stats = cls()
+        stats._counters.update(counters)
+        for name, value in gauges.items():
+            stats.gauge(name).set(value)
+        for name, data in histograms.items():
+            histogram = stats.histogram(name, data["edges"])
+            histogram.counts = list(data["counts"])
+            histogram.total = data["total"]
+            histogram.sum = data["sum"]
+        return stats
 
     def report(self, prefix=None):
         """Human-readable multi-line report, optionally filtered by prefix."""
@@ -115,4 +174,6 @@ class Stats:
         return "\n".join(lines)
 
     def __repr__(self):
-        return "Stats(%d counters)" % (len(self._counters),)
+        return "Stats(%d counters, %d gauges, %d histograms)" % (
+            len(self._counters), len(self._gauges), len(self._histograms),
+        )

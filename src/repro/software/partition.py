@@ -56,7 +56,7 @@ class PartitionReduceScatterAdd:
         # array across the network and adds it (num_targets words per node
         # pair, at the per-node network bandwidth).
         levels = int(math.ceil(math.log2(self.nodes))) if self.nodes > 1 else 0
-        transfer = num_targets / self.config.network_bw_words
+        transfer = num_targets / self.config.network.link_bw_words
         add = num_targets / self.config.peak_flops_per_cycle
         reduce_cycles = int(levels * (transfer + add
                                       + self.config.stream_op_overhead))

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.api import (
+    Simulation,
     scatter_add_reference,
     scatter_op_reference,
-    simulate_scatter_add,
 )
 from repro.config import MachineConfig
 
@@ -67,38 +67,38 @@ class TestSimulateScatterAdd:
     def test_matches_reference(self, rng):
         indices = rng.integers(0, 128, size=1024)
         values = rng.standard_normal(1024)
-        run = simulate_scatter_add(indices, values, num_targets=128)
+        run = Simulation().run("scatter_add", indices, values, num_targets=128)
         expected = scatter_add_reference(np.zeros(128), indices, values)
         assert np.allclose(run.result, expected)
 
     def test_respects_initial(self, rng):
         initial = rng.standard_normal(32)
         indices = rng.integers(0, 32, size=64)
-        run = simulate_scatter_add(indices, 1.0, num_targets=32,
-                                   initial=initial)
+        run = Simulation().run("scatter_add", indices, 1.0, num_targets=32,
+                               initial=initial)
         expected = scatter_add_reference(initial, indices, 1.0)
         assert np.allclose(run.result, expected)
 
     def test_num_targets_default(self):
-        run = simulate_scatter_add([3, 5], 1.0)
+        run = Simulation().run("scatter_add", [3, 5], 1.0)
         assert len(run.result) == 6
 
     def test_uniform_config(self, rng):
         indices = rng.integers(0, 64, size=256)
-        run = simulate_scatter_add(indices, 1.0, num_targets=64,
-                                   config=MachineConfig.uniform())
+        run = Simulation(MachineConfig.uniform()).run("scatter_add", indices,
+                                                      1.0, num_targets=64)
         expected = scatter_add_reference(np.zeros(64), indices, 1.0)
         assert np.allclose(run.result, expected)
 
     def test_reports_timing_and_refs(self, rng):
         indices = rng.integers(0, 16, size=100)
-        run = simulate_scatter_add(indices, 1.0, num_targets=16)
+        run = Simulation().run("scatter_add", indices, 1.0, num_targets=16)
         assert run.cycles > 0
         assert run.microseconds == pytest.approx(run.cycles / 1000.0)
         assert run.mem_refs == 100
 
     def test_empty(self):
-        run = simulate_scatter_add([], 1.0, num_targets=4)
+        run = Simulation().run("scatter_add", [], 1.0, num_targets=4)
         assert list(run.result) == [0.0] * 4
 
     @settings(max_examples=20, deadline=None)
@@ -109,7 +109,7 @@ class TestSimulateScatterAdd:
     def test_property_simulation_equals_reference(self, updates, chaining):
         indices = [addr for addr, __ in updates]
         values = [value for __, value in updates]
-        run = simulate_scatter_add(indices, values, num_targets=32,
-                                   chaining=chaining)
+        run = Simulation(chaining=chaining).run("scatter_add", indices, values,
+                                                num_targets=32)
         expected = scatter_add_reference(np.zeros(32), indices, values)
         assert np.allclose(run.result, expected, rtol=1e-12, atol=1e-9)

@@ -63,11 +63,15 @@ class TestValidation:
         ("address_generators", 0),
         ("uniform_interval", 0),
         ("nodes", 0),
-        ("network_bw_words", 0),
+        ("link_bw_words", 0),
     ])
     def test_positive_fields_enforced(self, field, value):
+        if field in ("nodes", "link_bw_words"):
+            kwargs = {"network": {field: value}}
+        else:
+            kwargs = {field: value}
         with pytest.raises(ValueError):
-            MachineConfig(**{field: value})
+            MachineConfig(**kwargs)
 
     def test_frozen(self):
         config = MachineConfig.table1()
@@ -92,16 +96,6 @@ class TestPresets:
         assert config.uniform_interval == 4
         assert config.combining_store_entries == 16
 
-    def test_multinode_preset(self):
-        with pytest.deprecated_call():
-            config = MachineConfig.multinode(4, network_bw_words=1,
-                                             cache_combining=True)
-        assert config.nodes == 4
-        assert config.network_bw_words == 1
-        assert config.cache_combining
-        # The shim routes through the structured spelling.
-        assert config.network == NetworkConfig(nodes=4, link_bw_words=1)
-
 
 class TestSerialization:
     """to_dict / from_dict / canonical_hash."""
@@ -110,11 +104,10 @@ class TestSerialization:
         config = MachineConfig.table1()
         data = config.to_dict()
         names = [field.name for field in dataclasses.fields(MachineConfig)]
-        # The optional `network` sub-structure is omitted while unset, so
-        # legacy configs serialize (and hash) exactly as they always did.
-        assert list(data) == sorted(name for name in names
-                                    if name != "network")
-        assert all(data[name] == getattr(config, name) for name in data)
+        assert list(data) == sorted(names)
+        assert data["network"] == NetworkConfig().to_dict()
+        assert all(data[name] == getattr(config, name) for name in data
+                   if name != "network")
 
     def test_to_dict_nests_network_when_set(self):
         config = MachineConfig(network=NetworkConfig(nodes=8,
@@ -123,7 +116,7 @@ class TestSerialization:
         names = [field.name for field in dataclasses.fields(MachineConfig)]
         assert list(data) == sorted(names)
         assert data["network"] == config.network.to_dict()
-        assert data["nodes"] == 8  # mirrored scalar
+        assert data["network"]["nodes"] == 8
 
     def test_from_dict_round_trips(self):
         config = MachineConfig.uniform(latency=64, interval=4)
@@ -195,35 +188,38 @@ class TestNetworkConfig:
         assert config.nodes == 4
 
     def test_scalars_mirror_network(self):
+        # `nodes` is a read-only view of the network, not a field.
         net = NetworkConfig(nodes=64, link_bw_words=1)
         config = MachineConfig(network=net)
         assert config.nodes == 64
-        assert config.network_bw_words == 1
-        assert config.network_config is net
+        assert config.network is net
+        assert "nodes" not in config.to_dict()
+        with pytest.raises(AttributeError):
+            config.nodes = 2
 
     def test_conflicting_scalars_rejected(self):
-        with pytest.raises(ValueError, match="conflicts"):
+        # The network has one spelling: scalar node counts are not
+        # accepted beside (or instead of) `network`.
+        with pytest.raises(TypeError):
             MachineConfig(nodes=2, network=NetworkConfig(nodes=4))
-        with pytest.raises(ValueError, match="conflicts"):
-            MachineConfig(network_bw_words=2,
-                          network=NetworkConfig(link_bw_words=4))
+        with pytest.raises(TypeError):
+            MachineConfig.table1().with_changes(nodes=2)
 
-    def test_network_config_resolves_legacy_scalars(self):
-        config = MachineConfig(nodes=4, network_bw_words=1)
-        net = config.network_config
-        assert config.network is None
-        assert net == NetworkConfig(nodes=4, link_bw_words=1)
+    def test_old_nodes_key_rejected_by_name(self):
+        with pytest.raises(ValueError, match="unknown MachineConfig "
+                                             "field.*nodes"):
+            MachineConfig.from_dict({"nodes": 4})
 
     def test_hash_stable_for_configs_without_network(self):
-        # Pinned digest: adding the NetworkConfig field must not churn
-        # the hashes of configs that never set it.
-        base = MachineConfig.table1()
-        assert "network" not in base.to_dict()
-        legacy = MachineConfig(nodes=4, network_bw_words=1)
-        assert "network" not in legacy.to_dict()
+        # One machine, one hash: leaving the network out, spelling the
+        # default out, and loading an empty dict all build Table 1.
+        configs = [MachineConfig(), MachineConfig(network=NetworkConfig()),
+                   MachineConfig(network={}), MachineConfig.from_dict({})]
+        assert all(config == configs[0] for config in configs)
+        assert len({config.canonical_hash() for config in configs}) == 1
         structured = MachineConfig(
             network=NetworkConfig(nodes=4, link_bw_words=1))
-        assert structured.canonical_hash() != legacy.canonical_hash()
+        assert structured.canonical_hash() != configs[0].canonical_hash()
 
     def test_round_trip_with_network(self):
         config = MachineConfig(

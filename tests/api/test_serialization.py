@@ -1,25 +1,17 @@
-"""Serializable Simulation API: run round-trips, dict configs, shims.
+"""Serializable Simulation API: run round-trips and dict configs.
 
 Pins the serialization contracts: a serialized
 :class:`ScatterRun` round-trips exactly, reloaded and live runs emit
-byte-identical ``metrics.json``, :class:`Simulation` accepts plain dict
-configs and describes itself canonically, and every deprecated entry
-point funnels through the single ``repro._compat`` warning path.
+byte-identical ``metrics.json``, and :class:`Simulation` accepts plain
+dict configs and describes itself canonically.
 """
 
 import json
-import warnings
 
 import numpy as np
 import pytest
 
-import repro._compat as _compat
-from repro.api import (
-    RUN_SCHEMA,
-    ScatterRun,
-    Simulation,
-    scatter_add_reference,
-)
+from repro.api import RUN_SCHEMA, ScatterRun, Simulation
 from repro.config import MachineConfig
 
 
@@ -52,6 +44,7 @@ class TestRunRoundTrip:
         assert rebuilt.mem_refs == run.mem_refs
         assert rebuilt.config == run.config
         assert rebuilt.stats.as_dict() == run.stats.as_dict()
+        assert rebuilt.stats.snapshot() == run.stats.snapshot()
 
     def test_round_trip_is_exact(self, run):
         """to_dict(from_dict(d)) == d, byte for byte."""
@@ -82,6 +75,21 @@ class TestRunRoundTrip:
             ScatterRun.from_dict({"schema": "repro.run/999"})
         with pytest.raises(ValueError, match="schema"):
             ScatterRun.from_dict([1, 2, 3])
+
+    def test_from_dict_rejects_first_generation_payloads(self, run):
+        old = dict(run.to_dict(), schema="repro.run/1")
+        with pytest.raises(ValueError, match=r"not a serialized ScatterRun "
+                                             r"\(schema 'repro.run/1'"):
+            ScatterRun.from_dict(old)
+
+    def test_gauges_and_histograms_restore_into_stats(self, observed_run):
+        rebuilt = ScatterRun.from_dict(observed_run.to_dict())
+        histograms = observed_run.stats.snapshot()["histograms"]
+        assert histograms
+        for name, data in histograms.items():
+            restored = rebuilt.stats.histogram(name)
+            assert restored.counts == data["counts"]
+            assert restored.percentile(90) == data["p90"]
 
     def test_untraced_run_still_refuses_breakdown(self, run):
         rebuilt = ScatterRun.from_dict(run.to_dict())
@@ -141,53 +149,3 @@ class TestSimulationConfigForms:
         with _engine.use_scheduler("legacy"):
             assert Simulation().describe()["engine"] == "legacy"
             assert Simulation(engine="event").describe()["engine"] == "event"
-
-
-class TestDeprecationFunnel:
-    """Every legacy entry point warns once, through repro._compat."""
-
-    def test_simulate_scatter_add_warns_and_matches(self):
-        with pytest.warns(DeprecationWarning,
-                          match=r"simulate_scatter_add\(\) is deprecated"):
-            run = _compat.simulate_scatter_add([1, 2, 2, 3],
-                                               num_targets=5)
-        expected = scatter_add_reference(np.zeros(5), [1, 2, 2, 3], 1.0)
-        assert np.array_equal(run.result, expected)
-
-    def test_simulate_scatter_op_warns_and_matches(self):
-        with pytest.warns(DeprecationWarning,
-                          match=r"simulate_scatter_op\(\) is deprecated"):
-            run = _compat.simulate_scatter_op("scatter_max", [0, 0, 1],
-                                              [3.0, 7.0, 2.0],
-                                              num_targets=2)
-        assert np.array_equal(run.result, [7.0, 2.0])
-
-    def test_api_reexports_are_the_compat_shims(self):
-        import repro.api as api
-
-        assert api.simulate_scatter_add is _compat.simulate_scatter_add
-        assert api.simulate_scatter_op is _compat.simulate_scatter_op
-
-    def test_scatter_add_run_alias_resolves_lazily(self):
-        import repro.api as api
-
-        assert _compat.ScatterAddRun is ScatterRun
-        assert api.ScatterAddRun is ScatterRun
-
-    def test_warnings_carry_the_replacement(self):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            _compat.simulate_scatter_add([0], num_targets=1)
-        assert len(caught) == 1
-        assert "Simulation(config).run('scatter_add', ...)" in str(
-            caught[0].message)
-
-    def test_single_warning_path(self):
-        """Both shims funnel through warn_deprecated, nothing else warns."""
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            _compat.warn_deprecated("thing()", "replacement()")
-        assert len(caught) == 1
-        assert issubclass(caught[0].category, DeprecationWarning)
-        assert str(caught[0].message) == \
-            "thing() is deprecated; use replacement()"

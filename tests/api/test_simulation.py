@@ -1,16 +1,12 @@
-"""Tests for the unified ``Simulation`` front door and the legacy shims."""
+"""Tests for the unified ``Simulation`` front door."""
 
 import numpy as np
 import pytest
 
 from repro.api import (
-    ScatterAddRun,
-    ScatterRun,
     Simulation,
     scatter_add_reference,
     scatter_op_reference,
-    simulate_scatter_add,
-    simulate_scatter_op,
 )
 from repro.config import MachineConfig
 
@@ -41,6 +37,13 @@ class TestSimulationRun:
                           initial=initial)
             expected = scatter_op_reference(op, initial, indices, values)
             assert np.allclose(run.result, expected, rtol=1e-12), op
+
+    def test_every_run_option(self):
+        run = Simulation(MachineConfig.table1(), chaining=False).run(
+            "scatter_add", [1, 1, 2], values=2.0, num_targets=4,
+            initial=np.ones(4), base=8)
+        assert list(run.result) == [1.0, 5.0, 3.0, 1.0]
+        assert "ScatterRun" in repr(run)
 
     def test_fetch_add_supported(self):
         run = Simulation().run("fetch_add", [0, 0, 1], [1.0, 2.0, 3.0],
@@ -86,41 +89,6 @@ class TestSimulationRun:
         assert len(ranked) == 4
         assert {"component", "busy_fraction", "events",
                 "capacity"} <= set(ranked[0])
-
-
-class TestLegacyShims:
-    def test_simulate_scatter_add_warns_and_matches(self, rng):
-        indices = rng.integers(0, 64, size=300)
-        with pytest.warns(DeprecationWarning):
-            old = simulate_scatter_add(indices, 1.0, num_targets=64)
-        new = Simulation().run("scatter_add", indices, 1.0, num_targets=64)
-        assert old.cycles == new.cycles
-        assert np.array_equal(old.result, new.result)
-
-    def test_simulate_scatter_add_keeps_full_signature(self):
-        with pytest.warns(DeprecationWarning):
-            run = simulate_scatter_add(
-                [1, 1, 2], values=2.0, num_targets=4,
-                config=MachineConfig.table1(),
-                initial=np.ones(4), chaining=False, base=8,
-            )
-        assert list(run.result) == [1.0, 5.0, 3.0, 1.0]
-
-    def test_simulate_scatter_op_warns_and_rejects_fetch_add(self):
-        with pytest.warns(DeprecationWarning):
-            run = simulate_scatter_op("scatter_min", [0, 0], [2.0, 1.0],
-                                      num_targets=1,
-                                      initial=np.full(1, np.inf))
-        assert run.result[0] == 1.0
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ValueError):
-                simulate_scatter_op("fetch_add", [0], [1.0], num_targets=1)
-
-    def test_scatter_add_run_alias(self):
-        assert ScatterAddRun is ScatterRun
-        run = Simulation().run("scatter_add", [0], 1.0, num_targets=1)
-        assert isinstance(run, ScatterAddRun)
-        assert "ScatterRun" in repr(run)
 
 
 class TestSharedValidation:

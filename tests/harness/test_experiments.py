@@ -35,6 +35,16 @@ class TestTable1:
         assert "table1" in text
         assert "cache_banks" in text
 
+    def test_network_prints_one_row_per_field(self):
+        rows = dict(zip(table1().column("parameter"),
+                        table1().column("value")))
+        assert "network" not in rows
+        assert rows["network.nodes"] == 1
+        assert rows["network.link_bw_words"] == 8
+        assert rows["network.topology"] == "crossbar"
+        assert not any("NetworkConfig" in str(value)
+                       for value in rows.values())
+
 
 class TestFigure6:
     @pytest.fixture(scope="class")

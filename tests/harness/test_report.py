@@ -32,10 +32,11 @@ class TestEngineSummary:
         assert "500/500 ticks" in line
 
     def test_real_run_counters_are_consistent(self):
-        from repro.api import simulate_scatter_add
+        from repro.api import Simulation
 
         with use_scheduler("event"):
-            run = simulate_scatter_add([3, 1, 2] * 50, 1.0, num_targets=8)
+            run = Simulation().run("scatter_add", [3, 1, 2] * 50, 1.0,
+                                   num_targets=8)
         line = engine_summary(run.stats)
         assert "engine[event]:" in line
 

@@ -76,13 +76,13 @@ class TestGridSweep:
 
     def test_real_measurement_round_trip(self, rng):
         import numpy as np
-        from repro.api import simulate_scatter_add
+        from repro.api import Simulation
 
         trace = rng.integers(0, 64, size=256)
 
         def measure(config):
-            run = simulate_scatter_add(trace, 1.0, num_targets=64,
-                                       config=config)
+            run = Simulation(config).run("scatter_add", trace, 1.0,
+                                         num_targets=64)
             assert run.result.sum() == 256
             return {"cycles": run.cycles}
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.api import scatter_add_reference, simulate_scatter_add
+from repro.api import Simulation, scatter_add_reference
 from repro.config import MachineConfig
 
 
@@ -26,8 +26,8 @@ class TestEveryConfigurationIsExact:
         config = CONFIG_VARIANTS[name]
         indices = rng.integers(0, 512, size=4096)
         values = rng.standard_normal(4096)
-        run = simulate_scatter_add(indices, values, num_targets=512,
-                                   config=config)
+        run = Simulation(config).run("scatter_add", indices, values,
+                                     num_targets=512)
         expected = scatter_add_reference(np.zeros(512), indices, values)
         assert np.allclose(run.result, expected, rtol=1e-12, atol=1e-9), name
 
@@ -35,8 +35,8 @@ class TestEveryConfigurationIsExact:
     def test_hotspot_trace_exact(self, name):
         config = CONFIG_VARIANTS[name]
         indices = np.zeros(512, dtype=np.int64)
-        run = simulate_scatter_add(indices, 1.0, num_targets=4,
-                                   config=config)
+        run = Simulation(config).run("scatter_add", indices, 1.0,
+                                     num_targets=4)
         assert run.result[0] == 512.0
 
 
@@ -44,8 +44,10 @@ class TestDeterminism:
     def test_same_input_same_cycles_and_result(self, rng):
         indices = rng.integers(0, 256, size=2048)
         values = rng.standard_normal(2048)
-        first = simulate_scatter_add(indices, values, num_targets=256)
-        second = simulate_scatter_add(indices, values, num_targets=256)
+        first = Simulation().run("scatter_add", indices, values,
+                                 num_targets=256)
+        second = Simulation().run("scatter_add", indices, values,
+                                  num_targets=256)
         assert first.cycles == second.cycles
         # Bitwise identical, not just close: the hardware's reordering is
         # "consistent in the hardware and repeatable for each run" (S3.3).
@@ -56,7 +58,7 @@ class TestDeterminism:
         # rounding; repeatability means the same order every run.
         values = np.array([1e16, 1.0, -1e16, 1.0] * 64)
         indices = np.zeros(len(values), dtype=np.int64)
-        runs = [simulate_scatter_add(indices, values, num_targets=1)
+        runs = [Simulation().run("scatter_add", indices, values, num_targets=1)
                 for _ in range(3)]
         results = {float(run.result[0]) for run in runs}
         assert len(results) == 1
@@ -67,31 +69,29 @@ class TestPerformanceSanity:
         # 8 banks x 1 request/cycle: n adds can never finish faster than
         # n/8 cycles.
         indices = rng.integers(0, 4096, size=8192)
-        run = simulate_scatter_add(indices, 1.0, num_targets=4096)
+        run = Simulation().run("scatter_add", indices, 1.0, num_targets=4096)
         assert run.cycles >= 8192 / 8
 
     def test_more_banks_only_help_spread_traffic(self, rng):
         indices = rng.integers(0, 4096, size=4096)
-        one_bank = simulate_scatter_add(
-            indices, 1.0, num_targets=4096,
-            config=MachineConfig(cache_banks=1))
-        eight_banks = simulate_scatter_add(
-            indices, 1.0, num_targets=4096,
-            config=MachineConfig(cache_banks=8))
+        one_bank = Simulation(MachineConfig(cache_banks=1)).run(
+            "scatter_add", indices, 1.0, num_targets=4096)
+        eight_banks = Simulation(MachineConfig(cache_banks=8)).run(
+            "scatter_add", indices, 1.0, num_targets=4096)
         assert eight_banks.cycles < one_bank.cycles
 
     def test_chaining_ablation_slower_on_hotspots(self):
         indices = np.zeros(256, dtype=np.int64)
-        chained = simulate_scatter_add(indices, 1.0, num_targets=1,
-                                       chaining=True)
-        unchained = simulate_scatter_add(indices, 1.0, num_targets=1,
-                                         chaining=False)
+        chained = Simulation(chaining=True).run("scatter_add", indices, 1.0,
+                                                num_targets=1)
+        unchained = Simulation(chaining=False).run("scatter_add", indices, 1.0,
+                                                   num_targets=1)
         assert unchained.cycles > chained.cycles
 
     @settings(max_examples=10, deadline=None)
     @given(st.integers(1, 6))
     def test_work_scales_cycles(self, doubling):
         indices = np.arange(64 * (1 << doubling)) % 1024
-        run = simulate_scatter_add(indices, 1.0, num_targets=1024)
+        run = Simulation().run("scatter_add", indices, 1.0, num_targets=1024)
         # cycles grow at least linearly past the fixed overhead
         assert run.cycles >= len(indices) / 8

@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.api import scatter_add_reference, simulate_scatter_add
-from repro.config import MachineConfig
+from repro.api import Simulation, scatter_add_reference
+from repro.config import MachineConfig, NetworkConfig
 from repro.multinode.system import MultiNodeSystem
 
 
@@ -21,8 +21,8 @@ class TestStarvedSingleNode:
                                cache_size_bytes=512,
                                cache_associativity=1)
         indices = rng.integers(0, 1024, size=2048)
-        run = simulate_scatter_add(indices, 1.0, num_targets=1024,
-                                   config=config)
+        run = Simulation(config).run("scatter_add", indices, 1.0,
+                                     num_targets=1024)
         expected = scatter_add_reference(np.zeros(1024), indices, 1.0)
         assert np.array_equal(run.result, expected)
 
@@ -30,15 +30,15 @@ class TestStarvedSingleNode:
         config = MachineConfig.uniform(latency=300, interval=16,
                                        combining_store_entries=64)
         indices = rng.integers(0, 64, size=1024)
-        run = simulate_scatter_add(indices, 1.0, num_targets=64,
-                                   config=config)
+        run = Simulation(config).run("scatter_add", indices, 1.0,
+                                     num_targets=64)
         assert run.result.sum() == 1024
 
     def test_single_bank_hotspot_storm(self):
         config = MachineConfig(cache_banks=1, combining_store_entries=2)
         indices = np.zeros(2048, dtype=np.int64)
-        run = simulate_scatter_add(indices, 1.0, num_targets=1,
-                                   config=config)
+        run = Simulation(config).run("scatter_add", indices, 1.0,
+                                     num_targets=1)
         assert run.result[0] == 2048
 
     def test_adversarial_bank_conflict_pattern(self, rng):
@@ -51,8 +51,8 @@ class TestStarvedSingleNode:
         stride = line * banks  # stays on bank 0
         indices = (rng.integers(0, 512, size=2048) * stride)
         targets = int(indices.max()) + 1
-        run = simulate_scatter_add(indices, 1.0, num_targets=targets,
-                                   config=config)
+        run = Simulation(config).run("scatter_add", indices, 1.0,
+                                     num_targets=targets)
         expected = scatter_add_reference(np.zeros(targets), indices, 1.0)
         assert np.array_equal(run.result, expected)
 
@@ -73,16 +73,17 @@ class TestStarvedSingleNode:
         )
         rng = np.random.default_rng(entries * 100 + cache_kb)
         indices = rng.integers(0, 256, size=512)
-        run = simulate_scatter_add(indices, 1.0, num_targets=256,
-                                   config=config)
+        run = Simulation(config).run("scatter_add", indices, 1.0,
+                                     num_targets=256)
         expected = scatter_add_reference(np.zeros(256), indices, 1.0)
         assert np.array_equal(run.result, expected)
 
 
 class TestStarvedMultiNode:
     def test_minimum_bandwidth_everything_combining(self, rng):
-        config = MachineConfig.multinode(
-            8, network_bw_words=1, cache_combining=True,
+        config = MachineConfig(
+            network=NetworkConfig(nodes=8, link_bw_words=1),
+            cache_combining=True,
         ).with_changes(cache_size_bytes=4096, cache_associativity=1,
                        combining_store_entries=2)
         indices = rng.integers(0, 512, size=4096)
@@ -94,8 +95,9 @@ class TestStarvedMultiNode:
     def test_tiny_cache_forces_continuous_sumbacks(self, rng):
         # The cache can barely hold any combining lines: sum-backs flow
         # during the run, not just at the flush.
-        config = MachineConfig.multinode(
-            4, network_bw_words=1, cache_combining=True,
+        config = MachineConfig(
+            network=NetworkConfig(nodes=4, link_bw_words=1),
+            cache_combining=True,
         ).with_changes(cache_size_bytes=1024, cache_associativity=1)
         indices = rng.integers(0, 2048, size=4096)
         system = MultiNodeSystem(config, address_space=2048)
@@ -109,9 +111,9 @@ class TestStarvedMultiNode:
         assert total_sumbacks > 0
 
     def test_hierarchical_under_starvation(self, rng):
-        config = MachineConfig.multinode(
-            8, network_bw_words=1, cache_combining=True,
-            hierarchical_combining=True,
+        config = MachineConfig(
+            network=NetworkConfig(nodes=8, link_bw_words=1),
+            cache_combining=True, hierarchical_combining=True,
         ).with_changes(cache_size_bytes=2048, cache_associativity=1)
         indices = rng.integers(0, 1024, size=4096)
         system = MultiNodeSystem(config, address_space=1024)

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from repro.api import scatter_add_reference, simulate_scatter_add
+from repro.api import Simulation, scatter_add_reference
 from repro.config import MachineConfig
 from repro.memory.backing import MainMemory
 from repro.memory.dram import DRAMSystem
@@ -105,12 +105,12 @@ class TestRowBuffer:
         for scheduling in ("inorder", "frfcfs"):
             config = MachineConfig(dram_model="rowbuffer",
                                    dram_scheduling=scheduling)
-            run = simulate_scatter_add(indices, 1.0, num_targets=4096,
-                                       config=config)
+            run = Simulation(config).run("scatter_add", indices, 1.0,
+                                         num_targets=4096)
             assert np.array_equal(run.result, expected), scheduling
 
     def test_flat_model_unaffected(self, rng):
         # The default config must not touch row-buffer counters.
         indices = rng.integers(0, 512, size=512)
-        run = simulate_scatter_add(indices, 1.0, num_targets=512)
+        run = Simulation().run("scatter_add", indices, 1.0, num_targets=512)
         assert "dram.row_hits" not in run.stats.names()

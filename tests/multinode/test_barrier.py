@@ -2,14 +2,16 @@
 
 import pytest
 
-from repro.config import MachineConfig
+from repro.config import MachineConfig, NetworkConfig
 from repro.multinode.barrier import ScatterAddBarrier
 from repro.multinode.system import MultiNodeSystem
 
 
 def make_system(nodes, bw=8, combining=False):
-    config = MachineConfig.multinode(nodes, network_bw_words=bw,
-                                     cache_combining=combining)
+    config = MachineConfig(
+        network=NetworkConfig(nodes=nodes, link_bw_words=bw),
+        cache_combining=combining,
+    )
     return MultiNodeSystem(config, address_space=64)
 
 

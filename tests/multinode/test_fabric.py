@@ -130,7 +130,7 @@ def make_switch(nodes=2, bw=1, words_per_node=16, combine=True,
                 table_entries=16):
     sim = Simulator()
     stats = Stats()
-    metrics = NetworkMetrics(stats.registry)
+    metrics = NetworkMetrics(stats)
     outputs = [sim.fifo(capacity=None, name="out%d" % i)
                for i in range(nodes)]
     switch = Switch(
@@ -278,12 +278,12 @@ class TestTreeTopology:
 
 
 class TestDifferentialLegacyEquivalence:
-    """combine-site ``memory`` ≡ the legacy scalar-kwargs machine.
+    """combine-site ``memory`` on every engine ≡ the ``legacy`` engine.
 
-    Randomized sweep comparing the structured NetworkConfig spelling
-    against the deprecated ``nodes=/network_bw_words=`` scalars under the
-    *same* engine: cycles, the full stats bag and the result must all be
-    bit-identical, for every engine.
+    Randomized sweep over node counts, link bandwidths and cache
+    combining on the degenerate crossbar: cycles, the model counters and
+    the result must all be bit-identical to the tick-everything
+    reference engine.
     """
 
     @pytest.mark.parametrize("engine", ENGINES)
@@ -300,22 +300,23 @@ class TestDifferentialLegacyEquivalence:
         indices = rng.integers(0, targets, size=40 * nodes)
         values = rng.random(indices.size)
 
-        def run(config):
+        config = MachineConfig(
+            cache_combining=combining,
+            network=NetworkConfig(nodes=nodes, link_bw_words=bw,
+                                  combine_site="memory"))
+
+        def run(engine):
             system = MultiNodeSystem(config, address_space=targets,
                                      engine=engine)
             run_ = system.scatter_add(indices, values,
                                       num_targets=targets)
-            return run_.cycles, run_.stats.as_dict(), run_.result
+            return run_.cycles, _strip_engine(run_.stats), run_.result
 
-        legacy = run(MachineConfig(nodes=nodes, network_bw_words=bw,
-                                   cache_combining=combining))
-        structured = run(MachineConfig(
-            cache_combining=combining,
-            network=NetworkConfig(nodes=nodes, link_bw_words=bw,
-                                  combine_site="memory")))
-        assert structured[0] == legacy[0]
-        assert structured[1] == legacy[1]
-        np.testing.assert_array_equal(structured[2], legacy[2])
+        legacy = run("legacy")
+        other = run(engine)
+        assert other[0] == legacy[0]
+        assert other[1] == legacy[1]
+        np.testing.assert_array_equal(other[2], legacy[2])
 
 
 def _four_node_runs(topology, site, seed, engines):

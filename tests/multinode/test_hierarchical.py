@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.api import scatter_add_reference
-from repro.config import MachineConfig
+from repro.config import MachineConfig, NetworkConfig
 from repro.multinode.interface import _tree_next_hop
 from repro.multinode.system import MultiNodeSystem
 
@@ -36,17 +36,18 @@ class TestHierarchicalCombining:
     def test_exact_results(self, rng, nodes):
         indices = rng.integers(0, 128, size=2048)
         expected = scatter_add_reference(np.zeros(128), indices, 1.0)
-        config = MachineConfig.multinode(nodes, network_bw_words=1,
-                                         cache_combining=True,
-                                         hierarchical_combining=True)
+        config = MachineConfig(
+            network=NetworkConfig(nodes=nodes, link_bw_words=1),
+            cache_combining=True, hierarchical_combining=True,
+        )
         system = MultiNodeSystem(config, address_space=128)
         run = system.scatter_add(indices, 1.0, num_targets=128)
         assert np.array_equal(run.result, expected)
 
     def test_requires_cache_combining(self):
         with pytest.raises(ValueError):
-            MachineConfig.multinode(4, hierarchical_combining=True,
-                                    cache_combining=False)
+            MachineConfig(network=NetworkConfig(nodes=4),
+                          cache_combining=False, hierarchical_combining=True)
 
     def test_reduces_home_port_traffic(self, rng):
         space = 8192
@@ -54,9 +55,10 @@ class TestHierarchicalCombining:
         expected = scatter_add_reference(np.zeros(space), indices, 1.0)
         traffic = {}
         for hierarchical in (False, True):
-            config = MachineConfig.multinode(
-                8, network_bw_words=1, cache_combining=True,
-                hierarchical_combining=hierarchical)
+            config = MachineConfig(
+                network=NetworkConfig(nodes=8, link_bw_words=1),
+                cache_combining=True, hierarchical_combining=hierarchical,
+            )
             system = MultiNodeSystem(config, address_space=space)
             run = system.scatter_add(indices, 1.0, num_targets=space)
             assert np.array_equal(run.result, expected)
@@ -64,9 +66,9 @@ class TestHierarchicalCombining:
         assert traffic[True] < traffic[False]
 
     def test_tree_hops_counted(self, rng):
-        config = MachineConfig.multinode(8, network_bw_words=1,
-                                         cache_combining=True,
-                                         hierarchical_combining=True)
+        config = MachineConfig(network=NetworkConfig(nodes=8, link_bw_words=1),
+                               cache_combining=True,
+                               hierarchical_combining=True)
         system = MultiNodeSystem(config, address_space=256)
         indices = rng.integers(0, 256, size=4096)
         run = system.scatter_add(indices, 1.0, num_targets=256)
@@ -78,9 +80,9 @@ class TestHierarchicalCombining:
     @given(st.lists(st.integers(0, 63), min_size=1, max_size=200))
     def test_property_exact(self, indices):
         expected = scatter_add_reference(np.zeros(64), indices, 1.0)
-        config = MachineConfig.multinode(8, network_bw_words=1,
-                                         cache_combining=True,
-                                         hierarchical_combining=True)
+        config = MachineConfig(network=NetworkConfig(nodes=8, link_bw_words=1),
+                               cache_combining=True,
+                               hierarchical_combining=True)
         system = MultiNodeSystem(config, address_space=64)
         run = system.scatter_add(indices, 1.0, num_targets=64)
         assert np.array_equal(run.result, expected)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.config import MachineConfig
+from repro.config import MachineConfig, NetworkConfig
 from repro.memory.request import (
     OP_READ,
     OP_SCATTER_ADD,
@@ -14,7 +14,8 @@ from repro.sim.stats import Stats
 
 
 def make_interface(node_id=0, nodes=4, words_per_node=64, **config_kwargs):
-    config = MachineConfig.multinode(nodes, **config_kwargs)
+    config = MachineConfig(network=NetworkConfig(nodes=nodes),
+                           **config_kwargs)
     sim = Simulator()
     stats = Stats()
     interface = sim.register(NodeInterface(

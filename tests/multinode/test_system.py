@@ -5,13 +5,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.api import scatter_add_reference
-from repro.config import MachineConfig
+from repro.config import MachineConfig, NetworkConfig
 from repro.multinode.system import MultiNodeSystem
 
 
 def run_system(indices, targets, nodes, bw=8, combining=False, values=1.0):
-    config = MachineConfig.multinode(nodes, network_bw_words=bw,
-                                     cache_combining=combining)
+    config = MachineConfig(
+        network=NetworkConfig(nodes=nodes, link_bw_words=bw),
+        cache_combining=combining,
+    )
     system = MultiNodeSystem(config, address_space=targets)
     return system.scatter_add(np.asarray(indices), values,
                               num_targets=targets)
@@ -35,7 +37,8 @@ class TestCorrectness:
         assert np.allclose(run.result, expected)
 
     def test_initial_memory_contents(self, rng):
-        config = MachineConfig.multinode(2, cache_combining=True)
+        config = MachineConfig(network=NetworkConfig(nodes=2),
+                               cache_combining=True)
         system = MultiNodeSystem(config, address_space=32)
         initial = rng.standard_normal(32)
         system.load_array(0, initial)
@@ -135,6 +138,49 @@ class TestRunSerialization:
         with pytest.raises(ValueError):
             MultiNodeRun.from_dict({"schema": "repro.run/1"})
 
+    def test_from_dict_rejects_first_generation_payloads(self):
+        from repro.multinode.system import MultiNodeRun
+
+        old = dict(self.make_run().to_dict(), schema="repro.multirun/1")
+        with pytest.raises(ValueError, match=r"not a serialized MultiNodeRun "
+                                             r"\(schema 'repro.multirun/1'"):
+            MultiNodeRun.from_dict(old)
+
+    def test_saved_run_reloads_byte_identically(self, tmp_path):
+        from repro.api import ScatterRun
+        from repro.multinode.system import MultiNodeRun
+
+        run = self.make_run()
+        assert isinstance(run, ScatterRun)
+        run.save(tmp_path / "run.json")
+        run.write_metrics(tmp_path / "live.json")
+        loaded = MultiNodeRun.load(tmp_path / "run.json")
+        loaded.save(tmp_path / "again.json")
+        loaded.write_metrics(tmp_path / "loaded.json")
+        assert loaded.refs == run.refs
+        assert loaded.microseconds == run.microseconds
+        assert ((tmp_path / "again.json").read_bytes()
+                == (tmp_path / "run.json").read_bytes())
+        assert ((tmp_path / "loaded.json").read_bytes()
+                == (tmp_path / "live.json").read_bytes())
+
+    def test_tree_run_restores_network_gauges(self, tmp_path):
+        from repro.api import Simulation
+        from repro.multinode.system import MultiNodeRun
+
+        config = MachineConfig(network=NetworkConfig(
+            nodes=8, topology="tree", combine_site="both", link_bw_words=1))
+        run = Simulation(config).run("scatter_add", [3] * 200 + [77] * 56,
+                                     1.0, num_targets=128)
+        gauge = "sim.network.table_peak_occupancy"
+        assert run.stats.gauge(gauge).value > 0
+        run.write_metrics(tmp_path / "live.json")
+        loaded = MultiNodeRun.load(run.save(tmp_path / "run.json"))
+        assert loaded.stats.gauge(gauge).value == run.stats.gauge(gauge).value
+        loaded.write_metrics(tmp_path / "loaded.json")
+        assert ((tmp_path / "loaded.json").read_bytes()
+                == (tmp_path / "live.json").read_bytes())
+
     def test_write_metrics_validates(self, tmp_path):
         from repro.obs.export import validate_metrics
 
@@ -150,7 +196,6 @@ class TestSimulationDispatch:
 
     def test_returns_multinode_run(self):
         from repro.api import Simulation
-        from repro.config import NetworkConfig
         from repro.multinode.system import MultiNodeRun
 
         rng = np.random.default_rng(4)
@@ -167,7 +212,7 @@ class TestSimulationDispatch:
         from repro.api import Simulation
 
         initial = np.arange(8, dtype=np.float64)
-        run = Simulation({"nodes": 2}).run(
+        run = Simulation({"network": {"nodes": 2}}).run(
             "scatter_add", [0, 1, 1], 1.0, num_targets=8, initial=initial)
         expected = scatter_add_reference(initial.copy(), [0, 1, 1], 1.0)
         np.testing.assert_array_equal(run.result, expected)
@@ -176,5 +221,5 @@ class TestSimulationDispatch:
         from repro.api import Simulation
 
         with pytest.raises(ValueError, match="scatter_add"):
-            Simulation({"nodes": 2}).run("scatter_min", [0, 1], 1.0,
-                                         num_targets=4)
+            Simulation({"network": {"nodes": 2}}).run(
+                "scatter_min", [0, 1], 1.0, num_targets=4)

@@ -1,46 +1,46 @@
-"""Tests for the typed metric registry (counters, gauges, histograms)."""
+"""Tests for the metric store: counters, gauges and histograms in Stats."""
 
 import pytest
 
-from repro.obs.metrics import Histogram, MetricRegistry
+from repro.obs.metrics import Histogram
 from repro.sim.stats import Stats
 
 
 class TestCounter:
     def test_writes_through_to_stats(self):
         stats = Stats()
-        counter = stats.registry.counter("bank0.hits")
+        counter = stats.counter("bank0.hits")
         counter.inc()
         counter.inc(3)
         assert stats.get("bank0.hits") == 4.0
         assert counter.value == 4.0
 
     def test_shares_value_with_stats_add(self):
-        # Mixed use (legacy stats.add + typed handle) must agree: both
-        # write the same underlying cell.
+        # Mixed use (stats.add + typed handle) must agree: both write the
+        # same underlying cell.
         stats = Stats()
-        counter = stats.registry.counter("dram.reads")
+        counter = stats.counter("dram.reads")
         stats.add("dram.reads", 2)
         counter.inc()
         assert stats.get("dram.reads") == 3.0
 
     def test_memoized_per_name(self):
         stats = Stats()
-        assert stats.registry.counter("a") is stats.registry.counter("a")
-        assert stats.registry.counter("a") is not stats.registry.counter("b")
+        assert stats.counter("a") is stats.counter("a")
+        assert stats.counter("a") is not stats.counter("b")
 
     def test_zero_increment_materialises_key(self):
         # stats.add(name, 0) creates the key; the handle must too (the
         # DRAM scheduler counts "0 reorders" this way).
         stats = Stats()
-        stats.registry.counter("dram.sched_reorders").inc(0)
+        stats.counter("dram.sched_reorders").inc(0)
         assert "dram.sched_reorders" in stats.as_dict()
 
 
 class TestGauge:
     def test_set_and_maximum(self):
         stats = Stats()
-        gauge = stats.registry.gauge("store.peak")
+        gauge = stats.gauge("store.peak")
         gauge.set(3)
         gauge.maximum(2)
         assert gauge.value == 3
@@ -49,7 +49,7 @@ class TestGauge:
 
     def test_does_not_touch_stats_bag(self):
         stats = Stats()
-        stats.registry.gauge("store.peak").set(9)
+        stats.gauge("store.peak").set(9)
         assert "store.peak" not in stats.as_dict()
 
 
@@ -90,21 +90,20 @@ class TestHistogram:
             Histogram("h", [])
 
     def test_registry_requires_edges_on_first_use(self):
-        registry = MetricRegistry(Stats())
         with pytest.raises(ValueError):
-            registry.histogram("h")
+            Stats().histogram("h")
 
     def test_registry_rejects_mismatched_edges(self):
-        registry = MetricRegistry(Stats())
-        registry.histogram("h", [1, 2])
-        assert registry.histogram("h").edges == (1, 2)
-        assert registry.histogram("h", [1, 2]) is registry.histogram("h")
+        stats = Stats()
+        stats.histogram("h", [1, 2])
+        assert stats.histogram("h").edges == (1, 2)
+        assert stats.histogram("h", [1, 2]) is stats.histogram("h")
         with pytest.raises(ValueError):
-            registry.histogram("h", [1, 2, 4])
+            stats.histogram("h", [1, 2, 4])
 
     def test_not_in_stats_bag(self):
         stats = Stats()
-        stats.registry.histogram("lat", [1, 2]).observe(1)
+        stats.histogram("lat", [1, 2]).observe(1)
         assert "lat" not in stats.as_dict()
 
 
@@ -160,30 +159,39 @@ class TestHistogramPercentile:
 class TestMerge:
     def test_registry_merge_via_stats_merge(self):
         a, b = Stats(), Stats()
-        a.registry.counter("x").inc(1)
-        b.registry.counter("x").inc(2)
-        a.registry.gauge("g").set(3)
-        b.registry.gauge("g").set(5)
-        a.registry.histogram("h", [2]).observe(1)
-        b.registry.histogram("h", [2]).observe(4)
+        a.counter("x").inc(1)
+        b.counter("x").inc(2)
+        a.gauge("g").set(3)
+        b.gauge("g").set(5)
+        a.histogram("h", [2]).observe(1)
+        b.histogram("h", [2]).observe(4)
         a.merge(b)
         assert a.get("x") == 3.0
-        assert a.registry.gauge("g").value == 5  # gauges keep the max
-        assert a.registry.histogram("h").counts == [1, 1]
+        assert a.gauge("g").value == 5  # gauges keep the max
+        assert a.histogram("h").counts == [1, 1]
 
     def test_merge_plain_stats_without_registry(self):
-        # Merging a Stats that never touched its registry must not
-        # instantiate one.
+        # Merging counters alone creates no gauge or histogram.
         a, b = Stats(), Stats()
         b.add("y", 2)
         a.merge(b)
         assert a.get("y") == 2.0
-        assert a._registry is None
+        snapshot = a.snapshot()
+        assert snapshot["gauges"] == {} and snapshot["histograms"] == {}
 
     def test_snapshot_reads_live_stats(self):
         stats = Stats()
-        counter = stats.registry.counter("c")
+        counter = stats.counter("c")
         counter.inc(2)
         stats.add("c", 1)
-        snap = stats.registry.snapshot()
+        snap = stats.snapshot()
         assert snap["counters"]["c"] == 3.0
+        assert snap["gauges"] == {} and snap["histograms"] == {}
+
+    def test_snapshot_round_trips_through_from_snapshot(self):
+        stats = Stats()
+        stats.counter("c").inc(2)
+        stats.gauge("g").maximum(4)
+        stats.histogram("h", [1, 4]).observe(3, n=2)
+        snap = stats.snapshot()
+        assert Stats.from_snapshot(**snap).snapshot() == snap

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro.api import Simulation
-from repro.config import MachineConfig
+from repro.config import MachineConfig, NetworkConfig
 from repro.harness.report import latency_breakdown, render_latency_breakdown
 from repro.multinode.system import MultiNodeSystem
 from repro.obs.export import chrome_trace_events, validate_chrome_trace
@@ -46,11 +46,11 @@ class TestSampling:
 
     def test_rejects_non_positive_period(self):
         with pytest.raises(ValueError):
-            RequestTracer(0, Stats().registry)
+            RequestTracer(0, Stats())
 
     def test_max_traces_drops_overflow_but_keeps_histograms(self, rng):
-        registry = Stats().registry
-        tracer = RequestTracer(1, registry, max_traces=3)
+        stats = Stats()
+        tracer = RequestTracer(1, stats, max_traces=3)
         for rid in range(5):
             trace = tracer.maybe_trace("scatter_add", rid, now=0)
             trace.leg("agu0", "reply", 4)
@@ -164,12 +164,12 @@ class TestLatencyBreakdownApi:
         assert "unattributed 0" in lines[-1]
 
     def test_render_empty_breakdown(self):
-        tracer = RequestTracer(4, Stats().registry)
+        tracer = RequestTracer(4, Stats())
         assert "no completed" in render_latency_breakdown(tracer.breakdown())
 
     def test_registry_histograms_exported_per_stage(self, rng):
         run = _traced_run(rng)
-        snapshot = run.stats.registry.snapshot()["histograms"]
+        snapshot = run.stats.snapshot()["histograms"]
         assert "reqtrace.e2e" in snapshot
         stage_names = [name for name in snapshot
                        if name.startswith("reqtrace.stage.")]
@@ -207,8 +207,8 @@ class TestFlowExport:
 
 class TestMultiNodeTracing:
     def _run(self, rng, **config_kwargs):
-        config = MachineConfig.multinode(4, network_bw_words=2,
-                                         **config_kwargs)
+        config = MachineConfig(network=NetworkConfig(nodes=4, link_bw_words=2),
+                               **config_kwargs)
         observation = Observation(trace_requests=5)
         system = MultiNodeSystem(config, address_space=4096, obs=observation)
         indices = rng.integers(0, 4096, size=800)
@@ -232,7 +232,7 @@ class TestMultiNodeTracing:
         assert breakdown["unattributed_cycles"] == 0.0
 
     def test_multinode_tracing_is_cycle_neutral(self, rng):
-        config = MachineConfig.multinode(2, network_bw_words=2)
+        config = MachineConfig(network=NetworkConfig(nodes=2, link_bw_words=2))
         indices = rng.integers(0, 2048, size=400)
 
         def cycles(obs):

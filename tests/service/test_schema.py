@@ -13,12 +13,17 @@ import json
 import pytest
 
 from repro.api import RUN_SCHEMA, ScatterRun, Simulation
-from repro.config import CONFIG_SCHEMA, MachineConfig
+from repro.config import CONFIG_SCHEMA, MachineConfig, NetworkConfig
 from repro.multinode.system import MULTI_RUN_SCHEMA, MultiNodeRun
 
 
 def key_of(config):
     return config.canonical_hash()
+
+
+#: Fields of the nested interconnect description; changing any of them
+#: changes the machine just as a top-level field does.
+NETWORK_FIELDS = [field.name for field in dataclasses.fields(NetworkConfig)]
 
 
 class TestKeyStability:
@@ -48,12 +53,22 @@ class TestKeyStability:
         assert key_of(MachineConfig()) == key_of(MachineConfig.table1())
         assert key_of(MachineConfig.from_dict({})) == key_of(
             MachineConfig.table1())
+        assert key_of(MachineConfig(network=NetworkConfig())) == key_of(
+            MachineConfig.table1())
 
     @pytest.mark.parametrize("field", [
         field.name for field in dataclasses.fields(MachineConfig)
-    ])
+    ] + NETWORK_FIELDS)
     def test_any_semantic_config_change_changes_key(self, field):
         base = MachineConfig.table1()
+        if field in NETWORK_FIELDS:
+            alternates = {"topology": "tree", "combine_site": "both"}
+            value = alternates.get(field)
+            if value is None:
+                value = getattr(base.network, field) + 1
+            network = base.network.with_changes(**{field: value})
+            assert key_of(base.with_changes(network=network)) != key_of(base)
+            return
         value = getattr(base, field)
         # Valid alternates for fields whose validation constrains them.
         alternates = {
@@ -77,7 +92,7 @@ class TestKeyStability:
         config = MachineConfig.uniform()
         key = key_of(config)
         assert len(key) == 64
-        assert CONFIG_SCHEMA == "repro.config/1"
+        assert CONFIG_SCHEMA == "repro.config/2"
         payload = json.dumps({"schema": CONFIG_SCHEMA,
                               "config": config.to_dict()},
                              sort_keys=True, separators=(",", ":"))

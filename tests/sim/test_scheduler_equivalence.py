@@ -15,7 +15,7 @@ import random
 import numpy as np
 import pytest
 
-from repro.api import Simulation, scatter_add_reference, simulate_scatter_add
+from repro.api import Simulation, scatter_add_reference
 from repro.config import MachineConfig, NetworkConfig
 from repro.multinode.system import MultiNodeSystem
 from repro.sim.engine import SCHEDULERS, _stepping, use_scheduler
@@ -73,7 +73,8 @@ class TestSingleNode:
         values = [rng.random() for _ in range(3000)]
 
         def run():
-            run_ = simulate_scatter_add(indices, values, num_targets=512)
+            run_ = Simulation().run("scatter_add", indices, values,
+                                    num_targets=512)
             return run_.cycles, _strip_engine(run_.stats), run_.result
 
         runs = _run_all(run)
@@ -86,7 +87,8 @@ class TestSingleNode:
         # Maximal combining pressure: every update hits one address, so
         # the stall/chaining paths (interval accounting) are exercised.
         def run():
-            run_ = simulate_scatter_add([7] * 2000, 1.0, num_targets=16)
+            run_ = Simulation().run("scatter_add", [7] * 2000, 1.0,
+                                    num_targets=16)
             return run_.cycles, _strip_engine(run_.stats), run_.result
 
         _assert_equivalent(_run_all(run))
@@ -139,8 +141,8 @@ class TestSingleNode:
         config = MachineConfig.uniform(latency=256, interval=2)
 
         def run():
-            run_ = simulate_scatter_add(indices, 1.0, num_targets=65536,
-                                        config=config)
+            run_ = Simulation(config).run("scatter_add", indices, 1.0,
+                                          num_targets=65536)
             return run_.cycles, _strip_engine(run_.stats), run_.result
 
         _assert_equivalent(_run_all(run))
@@ -175,7 +177,7 @@ class TestMultiNode:
 
         def run():
             config = MachineConfig.table1().with_changes(
-                nodes=4,
+                network=NetworkConfig(nodes=4),
                 cache_combining=combining,
                 hierarchical_combining=hierarchical,
             )
@@ -231,8 +233,8 @@ class TestEngineCounters:
         indices = [rng.randrange(65536) for _ in range(256)]
         config = MachineConfig.uniform(latency=256, interval=2)
         with _stepping():
-            run_ = simulate_scatter_add(indices, 1.0, num_targets=65536,
-                                        config=config)
+            run_ = Simulation(config).run("scatter_add", indices, 1.0,
+                                          num_targets=65536)
         stats = run_.stats.as_dict()
         assert stats["engine.scheduler_event"] == 1
         assert stats["engine.windows_collapsed"] == 0
@@ -244,7 +246,8 @@ class TestEngineCounters:
 
     def test_legacy_run_skips_nothing(self):
         with use_scheduler("legacy"):
-            run_ = simulate_scatter_add([1, 2, 3], 1.0, num_targets=8)
+            run_ = Simulation().run("scatter_add", [1, 2, 3], 1.0,
+                                    num_targets=8)
         stats = run_.stats.as_dict()
         assert stats["engine.scheduler_event"] == 0
         assert stats["engine.ticks_skipped"] == 0
@@ -255,8 +258,8 @@ class TestEngineCounters:
         indices = [rng.randrange(65536) for _ in range(256)]
         config = MachineConfig.uniform(latency=256, interval=2)
         with use_scheduler("event"):
-            run_ = simulate_scatter_add(indices, 1.0, num_targets=65536,
-                                        config=config)
+            run_ = Simulation(config).run("scatter_add", indices, 1.0,
+                                          num_targets=65536)
         stats = run_.stats.as_dict()
         assert stats["engine.scheduler_event"] == 1
         # The whole phase is one uniform window: it must have been

@@ -84,14 +84,12 @@ class TestPICRuns:
         pic = PICDeposition(2048, nx=16, ny=16, seed=8,
                             sorted_particles=True)
         indices, weights = pic.deposition_stream()
-        from repro.api import simulate_scatter_add
+        from repro.api import Simulation
 
-        chained = simulate_scatter_add(indices, weights,
-                                       num_targets=pic.grid_points,
-                                       config=table1, chaining=True)
-        unchained = simulate_scatter_add(indices, weights,
-                                         num_targets=pic.grid_points,
-                                         config=table1, chaining=False)
+        chained = Simulation(table1, chaining=True).run(
+            "scatter_add", indices, weights, num_targets=pic.grid_points)
+        unchained = Simulation(table1, chaining=False).run(
+            "scatter_add", indices, weights, num_targets=pic.grid_points)
         assert np.allclose(chained.result, unchained.result,
                            rtol=1e-9, atol=1e-12)
         assert unchained.cycles > 1.3 * chained.cycles
