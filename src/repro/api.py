@@ -117,6 +117,7 @@ class ScatterRun:
         # these from the observation instead.
         self._breakdown = None
         self._timelines = None
+        self._observed = None
 
     @property
     def microseconds(self):
@@ -194,14 +195,20 @@ class ScatterRun:
         Captures the result array, timing, every metric of the run's
         ``Stats`` (counters, gauges, histograms), the machine
         configuration, and — when the run was observed — sampled
-        timelines and the request-latency attribution table.
+        timelines, the request-latency attribution table and the
+        observation settings (scope label, ``sample_every``,
+        ``trace_requests``) its metrics.json records.
         :meth:`from_dict` restores an equivalent run:
         ``ScatterRun.from_dict(run.to_dict())`` round-trips exactly
         (float64 values survive via JSON's repr round-trip).
         """
         timelines = self._timelines
         breakdown = self._breakdown
+        observed = self._observed
         if self.observation is not None:
+            observed = {"label": self.observation.scopes[0].label,
+                        "sample_every": self.observation.sample_every,
+                        "trace_requests": self.observation.trace_requests}
             for scope in self.observation.scopes:
                 if timelines is None and scope.sampler is not None:
                     timelines = {timeline.name: timeline.as_dict()
@@ -221,6 +228,7 @@ class ScatterRun:
             "config": self.config.to_dict(),
             "timelines": timelines,
             "latency_breakdown": breakdown,
+            "observed": observed,
         }
 
     @classmethod
@@ -238,6 +246,7 @@ class ScatterRun:
                   int(data["cycles"]), stats, int(data["mem_refs"]))
         run._breakdown = data.get("latency_breakdown")
         run._timelines = data.get("timelines")
+        run._observed = data.get("observed")
         return run
 
     def save(self, path):

@@ -196,10 +196,6 @@ class CombiningTable:
         return (request.op, request.addr, request.combining,
                 request.route_to)
 
-    @staticmethod
-    def mergeable(request):
-        return request.op in NETWORK_COMBINABLE_OPS
-
     def try_merge(self, request):
         """Fold `request` into a waiting same-key entry; True on success."""
         if request.op not in NETWORK_COMBINABLE_OPS:

@@ -42,43 +42,6 @@ class ExperimentResult:
         return "ExperimentResult(%s, %d rows)" % (self.exp_id, len(self.rows))
 
 
-def engine_summary(stats):
-    """One-line summary of the ``engine.*`` scheduler counters.
-
-    `stats` is a :class:`~repro.sim.stats.Stats` (or plain mapping) holding
-    the counters recorded by ``Stats.record_engine``.  Returns ``""`` when
-    no engine counters are present (e.g. a run that never called it).
-
-    Under the event engine a second segment counts the uniform windows
-    collapsed analytically.
-    """
-    values = stats if isinstance(stats, dict) else stats.as_dict()
-    engine = {key[len("engine."):]: value for key, value in values.items()
-              if key.startswith("engine.")}
-    if not engine:
-        return ""
-    executed = engine.get("cycles_executed", 0)
-    skipped_cycles = engine.get("cycles_fast_forwarded", 0)
-    ticks = engine.get("ticks_executed", 0)
-    idle_ticks = engine.get("ticks_skipped", 0)
-    total_cycles = executed + skipped_cycles
-    total_ticks = ticks + idle_ticks
-    name = "event" if engine.get("scheduler_event") else "legacy"
-    line = (
-        "engine[%s]: %d/%d cycles executed (%.1f%% fast-forwarded), "
-        "%d/%d ticks run (%.1f%% skipped)" % (
-            name, executed, total_cycles,
-            100.0 * skipped_cycles / total_cycles if total_cycles else 0.0,
-            ticks, total_ticks,
-            100.0 * idle_ticks / total_ticks if total_ticks else 0.0,
-        )
-    )
-    if name == "event":
-        line += "; %d uniform windows collapsed analytically" % (
-            engine.get("windows_collapsed", 0),)
-    return line
-
-
 def _format_cell(value):
     if isinstance(value, float):
         if value == 0:

@@ -241,8 +241,9 @@ def run_metrics_payload(run_dict):
     :meth:`~repro.api.ScatterRun.save` writes.  Producing metrics from
     that form (rather than from live simulator objects) is what makes a
     reloaded run's metrics.json byte-identical to the live run it saved.
-    The payload matches :func:`metrics_payload` for a single detached
-    scope labelled ``"run"``.
+    The payload matches :func:`metrics_payload` for a single scope that
+    carries the saved observation settings (label, ``sample_every``,
+    ``trace_requests``), or is labelled ``"run"`` when unobserved.
     """
     from repro.config import MachineConfig
     from repro.harness.report import bottlenecks
@@ -250,8 +251,10 @@ def run_metrics_payload(run_dict):
     counters = run_dict["stats"]
     cycles = run_dict["cycles"]
     config = MachineConfig.from_dict(run_dict["config"])
+    observed = run_dict.get("observed") or {
+        "label": "run", "sample_every": 0, "trace_requests": 0}
     entry = {
-        "label": "run",
+        "label": observed["label"],
         "cycles": cycles,
         "counters": dict(counters),
         "gauges": run_dict.get("gauges") or {},
@@ -263,8 +266,8 @@ def run_metrics_payload(run_dict):
         entry["latency_breakdown"] = run_dict["latency_breakdown"]
     return {
         "schema": METRICS_SCHEMA,
-        "sample_every": 0,
-        "trace_requests": 0,
+        "sample_every": observed["sample_every"],
+        "trace_requests": observed["trace_requests"],
         "scopes": [entry],
     }
 

@@ -56,7 +56,7 @@ _ALIASES = ("columnar", "fastforward")
 DEFAULT_SCHEDULER = os.environ.get("REPRO_SCHEDULER", "event")
 
 #: Window collapse under ``"event"``.  Only :func:`_stepping` clears it,
-#: so tests and ``repro bench`` can pin and time the stepping loop alone.
+#: so the golden suite can diff the stepping loop alone against legacy.
 _COLLAPSE = True
 
 
@@ -84,7 +84,7 @@ def use_scheduler(name):
 
 @contextmanager
 def _stepping():
-    """Default to ``"event"`` without window collapse (tests, bench)."""
+    """Default to ``"event"`` without window collapse (tests)."""
     global _COLLAPSE
     previous = _COLLAPSE
     _COLLAPSE = False

@@ -106,6 +106,23 @@ class TestMetricsIdentity:
         ScatterRun.from_dict(run.to_dict()).write_metrics(cached)
         assert live.read_bytes() == cached.read_bytes()
 
+    def test_loaded_observed_run_emits_identical_metrics(self, tmp_path):
+        """The saved observation settings reach the reloaded metrics.json.
+
+        A Fig. 8 histogram (Table 1 machine, uniform random indices)
+        sampled, traced and request-traced: the reloaded run must write
+        the live run's label, ``sample_every`` and ``trace_requests``.
+        """
+        indices = np.random.default_rng(8).integers(0, 512, size=1500)
+        sim = Simulation(MachineConfig.table1(), sample_every=64,
+                         trace=True, trace_requests=7)
+        live_run = sim.run("scatter_add", indices, 1.0, num_targets=512)
+        live_run.write_metrics(tmp_path / "live.json")
+        loaded = ScatterRun.load(live_run.save(tmp_path / "run.json"))
+        loaded.write_metrics(tmp_path / "loaded.json")
+        assert ((tmp_path / "loaded.json").read_bytes()
+                == (tmp_path / "live.json").read_bytes())
+
     def test_metrics_payload_has_run_scope(self, run, tmp_path):
         run.write_metrics(tmp_path / "metrics.json")
         payload = json.loads((tmp_path / "metrics.json").read_text())

@@ -265,9 +265,16 @@ class TestEngineCounters:
         # The whole phase is one uniform window: it must have been
         # collapsed analytically, with every cycle fast-forwarded and
         # none stepped.
-        assert stats["engine.windows_collapsed"] >= 1
+        assert stats["engine.windows_collapsed"] == 1
         assert stats["engine.cycles_fast_forwarded"] > 0
-        assert stats["engine.cycles_executed"] < run_.cycles
+        assert stats["engine.cycles_executed"] == 0
+        assert stats["engine.ticks_executed"] == 0
+        # Without collapse the same phase is stepped tick by tick.
+        with _stepping():
+            stepped = Simulation(config).run("scatter_add", indices, 1.0,
+                                             num_targets=65536)
+        assert stepped.cycles == run_.cycles
+        assert stepped.stats.as_dict()["engine.ticks_executed"] > 0
 
     def test_event_declines_under_observation(self):
         # Live probes read intermediate state at exact cycles, so the
