@@ -172,16 +172,10 @@ class ScatterRun:
     def write_metrics(self, path):
         """Write the machine-readable metrics.json for this run.
 
-        Instrumented runs (``sample_every`` / ``trace`` / ``trace_requests``)
-        export their full observation.  Otherwise the payload is derived
-        from :meth:`to_dict`, the same serialized form :meth:`save`
-        writes — so a reloaded run and the live run it mirrors emit
-        byte-identical metrics.json.
+        The payload is derived from :meth:`to_dict`, the same serialized
+        form :meth:`save` writes — so a reloaded run and the live run it
+        mirrors emit byte-identical metrics.json, observed or not.
         """
-        if self.observation is not None:
-            from repro.obs.export import write_metrics
-
-            return write_metrics(path, self.observation)
         from repro.obs.export import write_run_metrics
 
         return write_run_metrics(path, self.to_dict())
@@ -303,8 +297,7 @@ class Simulation:
             "fetch_add")
 
     def __init__(self, config=None, *, chaining=True, sample_every=0,
-                 trace=False, trace_capacity=100_000, trace_requests=0,
-                 engine=None):
+                 trace=False, trace_requests=0, engine=None):
         if config is None:
             config = MachineConfig.table1()
         elif isinstance(config, dict):
@@ -313,7 +306,6 @@ class Simulation:
         self.chaining = chaining
         self.sample_every = sample_every
         self.trace = trace
-        self.trace_capacity = trace_capacity
         self.trace_requests = trace_requests
         if engine is not None:
             check_scheduler(engine)
@@ -323,7 +315,6 @@ class Simulation:
         if not (self.sample_every or self.trace or self.trace_requests):
             return None
         return Observation(sample_every=self.sample_every, trace=self.trace,
-                           trace_capacity=self.trace_capacity,
                            trace_requests=self.trace_requests)
 
     def run(self, op, indices, values=1.0, *, num_targets=None, initial=None,

@@ -43,21 +43,14 @@ class MainMemory:
     def export_array(self, base, length, dtype=np.float64):
         """Read `length` words starting at `base` into a numpy array.
 
-        Sparse-aware: untouched words are zero, so only the touched
-        addresses inside the window are gathered (one vectorized scatter
-        into a zero block) instead of probing every address -- result
-        exports of large mostly-cold tables dominate short runs otherwise.
+        Untouched words are zero, so the touched words are scattered into
+        a zero block in one vectorised pass instead of probing every
+        address -- result exports of large mostly-cold tables dominate
+        short runs otherwise.
         """
         words = self._words
         out = np.zeros(length, dtype=dtype)
         if not words:
-            return out
-        if len(words) * 4 < length:
-            # Sparse window: iterate the touched set, not the range.
-            for addr, value in words.items():
-                offset = addr - base
-                if 0 <= offset < length:
-                    out[offset] = value
             return out
         addrs = np.fromiter(words.keys(), dtype=np.int64, count=len(words))
         values = np.fromiter(words.values(), dtype=np.float64,

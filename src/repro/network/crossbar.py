@@ -77,7 +77,7 @@ class Crossbar(Component):
                     dest = request.route_to
                 else:
                     dest = self.dest_of(request.addr)
-                if out_budget[dest] <= 0 or not self._pipes[dest].can_push():
+                if out_budget[dest] <= 0:
                     self._m_hol_blocks.inc()
                     break  # head-of-line blocking
                 self._pipes[dest].push(source.pop(), now)

@@ -181,7 +181,7 @@ class Switch(Component):
         for port in self._all_ports():
             budget = self.bw_words
             table = port.table
-            while budget and table and port.pipe.can_push():
+            while budget and table:
                 port.pipe.push(table.pop(), now)
                 metrics.hops.inc()
                 budget -= 1

@@ -50,8 +50,7 @@ class ProgramResult:
 class StreamProcessor:
     """One simulated node executing stream programs."""
 
-    def __init__(self, config, chaining=True, memory=None, obs=None,
-                 engine=None):
+    def __init__(self, config, chaining=True, obs=None, engine=None):
         self.config = config
         self.sim = Simulator(scheduler=engine)
         self.stats = Stats()
@@ -77,7 +76,7 @@ class StreamProcessor:
         self.memsys = MemorySystem(
             self.sim, config, self.stats,
             sources=[agu.out for agu in self.agus],
-            memory=memory, chaining=chaining, trace=trace, tracer=tracer,
+            chaining=chaining, trace=trace, tracer=tracer,
         )
         self.clusters = ClusterArray(config, self.stats)
         if self.obs_scope is not None:

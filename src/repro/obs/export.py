@@ -198,40 +198,57 @@ def validate_chrome_trace(payload):
 # --------------------------------------------------------------------- #
 # metrics.json
 # --------------------------------------------------------------------- #
-def metrics_payload(observation):
-    """Build the ``metrics.json`` payload for an observation."""
+def _scope_entry(label, cycles, snapshot, timelines, config, breakdown):
+    """One ``metrics.json`` scope: metrics, timelines, bottlenecks."""
     from repro.harness.report import bottlenecks
 
-    scopes = []
-    for scope in observation.scopes:
-        entry = {
-            "label": scope.label,
-            "cycles": scope.cycles,
-            **scope.stats.snapshot(),
-            "timelines": {timeline.name: timeline.as_dict()
-                          for timeline in scope.timelines},
-            "bottlenecks": bottlenecks(scope.stats, scope.cycles,
-                                       config=scope.config),
-        }
-        tracer = getattr(scope, "request_tracer", None)
-        if tracer is not None:
-            entry["latency_breakdown"] = tracer.breakdown()
-        scopes.append(entry)
+    entry = {
+        "label": label,
+        "cycles": cycles,
+        **snapshot,
+        "timelines": timelines or {},
+        "bottlenecks": bottlenecks(snapshot["counters"], cycles,
+                                   config=config),
+    }
+    if breakdown is not None:
+        entry["latency_breakdown"] = breakdown
+    return entry
+
+
+def _payload(sample_every, trace_requests, scopes):
     return {
         "schema": METRICS_SCHEMA,
-        "sample_every": observation.sample_every,
-        "trace_requests": getattr(observation, "trace_requests", 0),
+        "sample_every": sample_every,
+        "trace_requests": trace_requests,
         "scopes": scopes,
     }
 
 
-def write_metrics(path, observation):
-    """Write ``metrics.json`` for the observation; returns the payload."""
-    payload = metrics_payload(observation)
+def _write_json(path, payload):
     with open(path, "w") as handle:
         json.dump(payload, handle, indent=2, sort_keys=True)
         handle.write("\n")
     return payload
+
+
+def metrics_payload(observation):
+    """Build the ``metrics.json`` payload for an observation (all scopes)."""
+    scopes = []
+    for scope in observation.scopes:
+        tracer = scope.request_tracer
+        scopes.append(_scope_entry(
+            scope.label, scope.cycles, scope.stats.snapshot(),
+            {timeline.name: timeline.as_dict()
+             for timeline in scope.timelines},
+            scope.config,
+            tracer.breakdown() if tracer is not None else None))
+    return _payload(observation.sample_every, observation.trace_requests,
+                    scopes)
+
+
+def write_metrics(path, observation):
+    """Write ``metrics.json`` for the observation; returns the payload."""
+    return _write_json(path, metrics_payload(observation))
 
 
 def run_metrics_payload(run_dict):
@@ -241,44 +258,30 @@ def run_metrics_payload(run_dict):
     :meth:`~repro.api.ScatterRun.save` writes.  Producing metrics from
     that form (rather than from live simulator objects) is what makes a
     reloaded run's metrics.json byte-identical to the live run it saved.
-    The payload matches :func:`metrics_payload` for a single scope that
-    carries the saved observation settings (label, ``sample_every``,
-    ``trace_requests``), or is labelled ``"run"`` when unobserved.
+    The payload is the single scope :func:`metrics_payload` writes for
+    the run's observation (label, ``sample_every``, ``trace_requests``),
+    or one labelled ``"run"`` when unobserved.
     """
     from repro.config import MachineConfig
-    from repro.harness.report import bottlenecks
 
-    counters = run_dict["stats"]
-    cycles = run_dict["cycles"]
-    config = MachineConfig.from_dict(run_dict["config"])
     observed = run_dict.get("observed") or {
         "label": "run", "sample_every": 0, "trace_requests": 0}
-    entry = {
-        "label": observed["label"],
-        "cycles": cycles,
-        "counters": dict(counters),
+    snapshot = {
+        "counters": dict(run_dict["stats"]),
         "gauges": run_dict.get("gauges") or {},
         "histograms": run_dict.get("histograms") or {},
-        "timelines": run_dict.get("timelines") or {},
-        "bottlenecks": bottlenecks(counters, cycles, config=config),
     }
-    if run_dict.get("latency_breakdown") is not None:
-        entry["latency_breakdown"] = run_dict["latency_breakdown"]
-    return {
-        "schema": METRICS_SCHEMA,
-        "sample_every": observed["sample_every"],
-        "trace_requests": observed["trace_requests"],
-        "scopes": [entry],
-    }
+    entry = _scope_entry(observed["label"], run_dict["cycles"], snapshot,
+                         run_dict.get("timelines"),
+                         MachineConfig.from_dict(run_dict["config"]),
+                         run_dict.get("latency_breakdown"))
+    return _payload(observed["sample_every"], observed["trace_requests"],
+                    [entry])
 
 
 def write_run_metrics(path, run_dict):
     """Write ``metrics.json`` for a serialized run; returns the payload."""
-    payload = run_metrics_payload(run_dict)
-    with open(path, "w") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    return payload
+    return _write_json(path, run_metrics_payload(run_dict))
 
 
 #: Cross-counter conservation laws checked on every metrics payload:

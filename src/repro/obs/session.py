@@ -32,6 +32,9 @@ from repro.sim.trace import TraceLog
 #: The ambient observation installed by :func:`observe`, or ``None``.
 _ACTIVE = None
 
+#: Events each scope's :class:`~repro.sim.trace.TraceLog` keeps.
+TRACE_CAPACITY = 100_000
+
 
 def active():
     """The ambient :class:`Observation`, or ``None`` when not observing."""
@@ -39,12 +42,10 @@ def active():
 
 
 @contextmanager
-def observe(sample_every=0, trace=False, trace_capacity=100_000,
-            trace_requests=0):
+def observe(sample_every=0, trace=False, trace_requests=0):
     """Install an ambient observation for the duration of the block."""
     global _ACTIVE
     observation = Observation(sample_every=sample_every, trace=trace,
-                              trace_capacity=trace_capacity,
                               trace_requests=trace_requests)
     previous = _ACTIVE
     _ACTIVE = observation
@@ -83,7 +84,7 @@ class ObservationScope:
         self.sampler = None
         self._cycles = None  # override for scopes detached from a simulator
         self.tracelog = TraceLog(enabled=observation.trace_enabled,
-                                 capacity=observation.trace_capacity,
+                                 capacity=TRACE_CAPACITY,
                                  stats=stats)
         # Per-request lifecycle tracer (repro.obs.tracing): sampled 1-in-N
         # span tracing; None keeps every hot-path `trace is None` check a
@@ -135,11 +136,9 @@ class ObservationScope:
 class Observation:
     """What to observe, plus every scope collected while observing."""
 
-    def __init__(self, sample_every=0, trace=False, trace_capacity=100_000,
-                 trace_requests=0):
+    def __init__(self, sample_every=0, trace=False, trace_requests=0):
         self.sample_every = int(sample_every or 0)
         self.trace_enabled = bool(trace)
-        self.trace_capacity = trace_capacity
         #: Sample one request in every N for lifecycle span tracing
         #: (0 = off; see repro.obs.tracing).
         self.trace_requests = int(trace_requests or 0)

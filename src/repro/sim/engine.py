@@ -250,11 +250,11 @@ class Simulator:
         self._fifos.append(queue)
         return queue
 
-    def pipe(self, latency, bandwidth=None, name=""):
+    def pipe(self, latency, name=""):
         """Create and register a latency pipe owned by this simulator."""
         from repro.sim.queues import LatencyPipe
 
-        pipe = LatencyPipe(latency, bandwidth=bandwidth, name=name)
+        pipe = LatencyPipe(latency, name=name)
         pipe._engine = self
         self._pipes.append(pipe)
         return pipe

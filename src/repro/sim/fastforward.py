@@ -34,13 +34,13 @@ with no engine involvement.
    the gap in closed form, exactly like the event scheduler's retro
    charge -- that is what makes the collapsed window *bit-exact*, not
    just statistically equivalent.
-3. **Max-plus drain tail**: once every request has been accepted and no
-   same-address chain can form, the remaining completions, acknowledge-
-   ments and result write-backs are a pure (max,+) system solved in two
-   :func:`maxplus_scan` passes (:func:`pipeline_drain` for the FU, one
-   scan for the memory write schedule), collapsing the longest uniform
-   window of a run -- the memory-latency shadow at the end -- without
-   visiting it.
+3. **One way to finish**: the loop runs until no candidate event is
+   left.  The memory-latency shadow at the end of a phase (result
+   write-backs and acknowledgements still in flight) is not stepped
+   cycle by cycle: it is a frozen gap between candidate cycles, jumped
+   like any other.  :func:`maxplus_scan` is the vector form of the same
+   service recurrence, used by
+   :meth:`~repro.memory.dram.DRAMSystem.open_row_burst`.
 4. **Commit**: only after the whole phase replayed successfully are
    counters bumped (through the same typed-metric handles the scalar
    path uses), histogram observations recorded, memory written, stream
@@ -100,22 +100,6 @@ def maxplus_scan(releases, gap, init=None):
     if init is not None:
         shifted[0] = max(shifted[0], np.int64(init) + gap)
     return np.maximum.accumulate(shifted) + offsets
-
-
-def pipeline_drain(releases, issue_gap, latency, last_issue=None):
-    """Issue and completion schedule of a fixed-latency pipeline drain.
-
-    Given token release cycles (sorted ascending), an in-order pipeline
-    issuing at most one token per `issue_gap` cycles with a fixed
-    `latency`, returns ``(issues, completions)`` where ``issues`` is the
-    :func:`maxplus_scan` of the releases and ``completions = issues +
-    latency``.  `last_issue` seeds the recurrence with the pipeline's
-    final pre-window issue cycle.  This is the closed form the fast-forward
-    engine uses for the scatter-add unit's drain tail, where every
-    remaining token is known and no structural hazard can intervene.
-    """
-    issues = maxplus_scan(releases, issue_gap, init=last_issue)
-    return issues, issues + np.int64(latency)
 
 
 class PipelineFastForward:
@@ -308,7 +292,6 @@ class PipelineFastForward:
         t = t0
         last_work = t0 - 1
         visited = 0
-        tail = None
         while True:
             visited += 1
             if visited > MAX_VISITED:
@@ -479,26 +462,8 @@ class PipelineFastForward:
             if work:
                 last_work = t
 
-            # --- max-plus drain tail -------------------------------------
-            # Once every request is accepted and no same-address chain can
-            # form, the rest of the run is a pure (max,+) system.
-            if (not req_in and not sau_retry and not chained
-                    and not any(a_out) and not any(a_queue)
-                    and all(a_cur[a] is None or a_next[a] >= op_total[a_cur[a]]
-                            for a in range(A))):
-                chain_free = (len(vtok) == len(store_wait)
-                              and all(len(q) == 1 for q in
-                                      store_wait.values())
-                              and not any(entry[3] in store_wait
-                                          for entry in fu)
-                              and len(mem_inq) + len(fu) + len(vtok)
-                              <= mem_cap)
-                if chain_free:
-                    tail = True
-                    break
-            candidate = None
-
             # --- next structural event -----------------------------------
+            candidate = None
             t1 = t + 1
             for a in range(A):
                 acks = a_acks_sau[a]
@@ -581,65 +546,6 @@ class PipelineFastForward:
             if candidate is None:
                 break
             t = candidate
-
-        # ----------------------------------------------------------------- #
-        # max-plus drain tail (closed form)
-        # ----------------------------------------------------------------- #
-        if tail:
-            n_tail_fu = len(vtok)
-            results = []  # (done, result, old, addr, oi, idx, eop), in order
-            results.extend(fu)
-            if n_tail_fu:
-                avails = [entry[0] for entry in vtok]
-                issues, dones = pipeline_drain(avails, 1, fu_lat,
-                                               last_issue=fu_last_issue)
-                for k, (__, addr, value) in enumerate(vtok):
-                    entry_value, oi, idx, eop = store_wait[addr][0]
-                    results.append((int(dones[k]),
-                                    combine(eop, value, entry_value),
-                                    value, addr, oi, idx, eop))
-                fu_last_issue = int(issues[-1])
-            if results:
-                write_commits = [entry[0] + 1 for entry in results]
-                starts = maxplus_scan(write_commits, m_interval,
-                                      init=m_state[1])
-                m_state[0] = int(starts[-1]) + m_interval
-                m_state[1] = int(starts[-1])
-                tail_done = int(starts[-1]) + m_interval + m_latency
-                if tail_done > max_done:
-                    max_done = tail_done
-                mem_counts[1] += len(results)
-                mem_counts[2] += len(results) * m_interval
-                for done, result, old, addr, oi, idx, eop in results:
-                    overlay[addr] = result
-                    ack_value = old if eop == OP_FETCH_ADD else None
-                    a_acks_sau[op_agu[oi]].append((done + 1, ack_value,
-                                                   oi, idx))
-                n_sums += len(results)
-                n_result_writes += len(results)
-            fu.clear()
-            vtok.clear()
-            store_wait.clear()
-            store_occ = 0
-            active.clear()
-            # Deliver the remaining acknowledgements analytically: the AGU
-            # collects each at its visibility cycle, and the op retires at
-            # the tick its last acknowledgement lands.
-            for a in range(A):
-                for acks in (a_acks_sau[a], a_acks_mem[a]):
-                    while acks:
-                        visible, value, oi, idx = acks.popleft()
-                        fills = op_fills[oi]
-                        if fills is not None and value is not None:
-                            fills[idx] = value
-                        a_acked[a] += 1
-                        if visible > last_work:
-                            last_work = visible
-                        cur = a_cur[a]
-                        if (cur is not None and a_acked[a] >= op_total[cur]
-                                and a_next[a] >= op_total[cur]):
-                            op_end[cur] = visible
-                            a_cur[a] = None
 
         # --- drained? anything left means an unmodelled dependency -------
         if (req_in or vtok or chained or fu or store_wait or sau_retry

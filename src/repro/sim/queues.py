@@ -127,43 +127,29 @@ class LatencyPipe:
     """A delay line: entries become available `latency` cycles after push.
 
     Models fixed-latency paths such as DRAM access latency or a pipelined
-    functional unit.  The pipe is fully pipelined -- any number of entries
-    may be in flight -- unless `bandwidth` limits how many can be pushed per
-    cycle.
+    functional unit.  The pipe is fully pipelined: any number of entries
+    may be pushed per cycle and be in flight at once.
 
     The owning simulator must call :meth:`advance` with the current cycle
     once per cycle (the simulator does this automatically for registered
     pipes) before components pop from it.
     """
 
-    def __init__(self, latency, bandwidth=None, name=""):
+    def __init__(self, latency, name=""):
         if latency < 0:
             raise ValueError("latency must be >= 0, got %r" % (latency,))
         self.latency = latency
-        self.bandwidth = bandwidth
         self.name = name
         self._in_flight = deque()  # (ready_cycle, item)
         self._ready = deque()
-        self._pushed_this_cycle = 0
         self.total_pushed = 0
         self._engine = None
         self._readers = []
         self._writers = []
 
-    def can_push(self):
-        """True if per-cycle bandwidth allows another push this cycle."""
-        if self.bandwidth is None:
-            return True
-        return self._pushed_this_cycle < self.bandwidth
-
     def push(self, item, now):
         """Insert `item`, to become ready at cycle ``now + latency``."""
-        if not self.can_push():
-            raise OverflowError(
-                "push exceeds bandwidth %r on pipe %r" % (self.bandwidth, self.name)
-            )
         was_idle = not self._in_flight and not self._ready
-        self._pushed_this_cycle += 1
         self.total_pushed += 1
         ready_cycle = now + self.latency
         self._in_flight.append((ready_cycle, item))
@@ -172,7 +158,6 @@ class LatencyPipe:
 
     def advance(self, now):
         """Move entries whose delay elapsed into the ready queue."""
-        self._pushed_this_cycle = 0
         while self._in_flight and self._in_flight[0][0] <= now:
             self._ready.append(self._in_flight.popleft()[1])
 

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro.api import RUN_SCHEMA, ScatterRun, Simulation
-from repro.config import MachineConfig
+from repro.config import MachineConfig, NetworkConfig
 
 
 @pytest.fixture
@@ -130,6 +130,30 @@ class TestMetricsIdentity:
         assert scopes["run"]["cycles"] == run.cycles
         assert scopes["run"]["counters"] == run.stats.as_dict()
         assert scopes["run"]["bottlenecks"]
+
+    @pytest.mark.parametrize("observe", [
+        dict(sample_every=64, trace=True, trace_requests=7),
+        dict(trace_requests=3),
+    ], ids=["sampled-traced", "request-traced"])
+    @pytest.mark.parametrize("config", [
+        MachineConfig.table1(),
+        MachineConfig(network=NetworkConfig(nodes=8, topology="tree",
+                                            tree_radix=4,
+                                            combine_site="both")),
+        MachineConfig.uniform(),
+    ], ids=["table1", "tree8-both", "uniform"])
+    def test_run_and_observation_write_identical_metrics(
+            self, config, observe, tmp_path):
+        """The run's serialized form and its observation agree on bytes."""
+        from repro.obs.export import write_metrics
+
+        indices = np.random.default_rng(5).integers(0, 256, size=600)
+        run = Simulation(config, **observe).run("scatter_add", indices, 1.0,
+                                                num_targets=256)
+        write_metrics(tmp_path / "observation.json", run.observation)
+        run.write_metrics(tmp_path / "run.json")
+        assert ((tmp_path / "observation.json").read_bytes()
+                == (tmp_path / "run.json").read_bytes())
 
 
 class TestSimulationConfigForms:

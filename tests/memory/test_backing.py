@@ -34,6 +34,19 @@ class TestMainMemory:
         memory.write_word(2, 9.0)
         assert list(memory.export_array(0, 4)) == [0.0, 0.0, 9.0, 0.0]
 
+    def test_export_mostly_empty_window_at_nonzero_base(self):
+        memory = MainMemory()
+        base, length = 1000, 4096
+        outside = {0: 1.0, base - 1: 2.0, base + length: 3.0,
+                   base + length + 7: 4.0}
+        inside = {base: 5.0, base + 1234: 6.0, base + length - 1: 7.0}
+        for addr, value in {**outside, **inside}.items():
+            memory.write_word(addr, value)
+        expected = np.zeros(length)
+        for addr, value in inside.items():
+            expected[addr - base] = value
+        assert np.array_equal(memory.export_array(base, length), expected)
+
     def test_touched_addresses_sorted(self):
         memory = MainMemory()
         memory.write_word(9, 1.0)

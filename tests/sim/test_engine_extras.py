@@ -18,7 +18,7 @@ class Mover(Component):
     def tick(self, now):
         while self.pipe.ready():
             self.done.append((now, self.pipe.pop()))
-        while len(self.queue) and self.pipe.can_push():
+        while len(self.queue):
             self.pipe.push(self.queue.pop(), now)
 
 

@@ -117,17 +117,6 @@ class TestLatencyPipe:
         pipe.advance(3)
         assert pipe.pop() == "b"
 
-    def test_bandwidth_limit_per_cycle(self):
-        pipe = LatencyPipe(latency=1, bandwidth=2)
-        pipe.advance(0)
-        pipe.push("a", now=0)
-        pipe.push("b", now=0)
-        assert not pipe.can_push()
-        with pytest.raises(OverflowError):
-            pipe.push("c", now=0)
-        pipe.advance(1)  # resets the per-cycle budget
-        assert pipe.can_push()
-
     def test_negative_latency_rejected(self):
         with pytest.raises(ValueError):
             LatencyPipe(latency=-1)

@@ -315,12 +315,10 @@ class TestMaxPlusKernels:
     """Edge cases of the closed-form (max,+) kernels."""
 
     def test_zero_length_window(self):
-        from repro.sim.fastforward import maxplus_scan, pipeline_drain
+        from repro.sim.fastforward import maxplus_scan
 
         empty = maxplus_scan([], 3)
         assert empty.size == 0
-        issues, dones = pipeline_drain([], 1, 4)
-        assert issues.size == 0 and dones.size == 0
 
     def test_scan_matches_scalar_fold(self):
         from repro.sim.fastforward import maxplus_scan
@@ -341,12 +339,10 @@ class TestMaxPlusKernels:
                 assert got.tolist() == expected
 
     def test_single_request_burst(self):
-        from repro.sim.fastforward import maxplus_scan, pipeline_drain
+        from repro.sim.fastforward import maxplus_scan
 
         assert maxplus_scan([42], 3).tolist() == [42]
         assert maxplus_scan([42], 3, init=41).tolist() == [44]
-        issues, dones = pipeline_drain([10], 1, 4, last_issue=10)
-        assert issues.tolist() == [11] and dones.tolist() == [15]
 
     @pytest.mark.parametrize("first_is_miss", [True, False],
                              ids=["row-transition", "row-open"])
