@@ -7,12 +7,11 @@ rendered rows are printed (visible with ``pytest -s``) and also written to
 Environment knobs:
 
 - ``REPRO_BENCH_SCALE`` -- trace scale factor for the multi-node benchmark
-  (default 0.1; 1.0 reproduces the paper's full trace sizes).
+  (default 0.25; 1.0 reproduces the paper's full trace sizes).
 - ``REPRO_BENCH_FULL=1`` -- run every benchmark at full paper scale.
-- ``REPRO_BENCH_SCHEDULER`` -- force a simulation scheduler ("event" or
-  "legacy") for the whole benchmark session; unset uses the process-wide
-  default (itself settable via ``REPRO_SCHEDULER``).  Both produce
-  bit-identical tables -- this knob exists to time one against the other.
+- ``REPRO_SCHEDULER`` -- the process-wide scheduler (read by
+  :mod:`repro.sim.engine` at import); every scheduler writes
+  bit-identical tables.
 """
 
 import os
@@ -21,19 +20,6 @@ import pathlib
 import pytest
 
 RESULTS_DIR = pathlib.Path(__file__).resolve().parent.parent / "results"
-
-
-@pytest.fixture(autouse=True, scope="session")
-def _bench_scheduler():
-    """Honour REPRO_BENCH_SCHEDULER for the whole benchmark session."""
-    from repro.sim.engine import use_scheduler
-
-    choice = os.environ.get("REPRO_BENCH_SCHEDULER")
-    if not choice:
-        yield
-        return
-    with use_scheduler(choice):
-        yield
 
 
 def bench_scale():

@@ -176,9 +176,9 @@ class ScatterRun:
         form :meth:`save` writes — so a reloaded run and the live run it
         mirrors emit byte-identical metrics.json, observed or not.
         """
-        from repro.obs.export import write_run_metrics
+        from repro.obs.export import run_metrics_payload, write_json
 
-        return write_run_metrics(path, self.to_dict())
+        return write_json(path, run_metrics_payload(self.to_dict()))
 
     # ------------------------------------------------------------------ #
     # serialization

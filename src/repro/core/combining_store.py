@@ -100,10 +100,6 @@ class CombiningStore:
         """
         return not self._waiting and self.occupancy == 0
 
-    def has_address(self, addr):
-        """CAM lookup: any *waiting* entry for `addr`?"""
-        return bool(self._waiting.get(addr))
-
     def allocate(self, addr, value, op, reply_to=None, tag=None, trace=None):
         """Place a request in a free entry; returns the entry id.
 

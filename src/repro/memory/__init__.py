@@ -28,7 +28,7 @@ from repro.memory.request import (
     combine,
     identity_value,
 )
-from repro.memory.address import bank_of, channel_of, line_of
+from repro.memory.address import channel_of
 from repro.memory.dram import DRAMSystem, UniformMemory
 
 __all__ = [
@@ -45,9 +45,7 @@ __all__ = [
     "OP_SCATTER_MUL",
     "OP_WRITE",
     "UniformMemory",
-    "bank_of",
     "channel_of",
     "combine",
     "identity_value",
-    "line_of",
 ]

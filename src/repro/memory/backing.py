@@ -59,10 +59,6 @@ class MainMemory:
         out[addrs[inside] - base] = values[inside]
         return out
 
-    def touched_addresses(self):
-        """Sorted word addresses that were ever written."""
-        return sorted(self._words)
-
     def __len__(self):
         return len(self._words)
 

@@ -111,11 +111,6 @@ class MemoryRequest:
     def is_atomic(self):
         return self.op in ATOMIC_OPS
 
-    @property
-    def wants_data(self):
-        """True when the requester expects a data-carrying response."""
-        return self.op in (OP_READ, OP_FETCH_ADD)
-
     def __repr__(self):
         return "MemoryRequest(%s, addr=%d, value=%r, words=%d, tag=%r)" % (
             self.op,

@@ -58,10 +58,6 @@ class MultiNodeRun(ScatterRun):
         words_per_cycle = self.refs / self.cycles
         return words_per_cycle * WORD_BYTES * self.config.frequency_ghz
 
-    @property
-    def additions_per_cycle(self):
-        return self.refs / self.cycles if self.cycles else 0.0
-
     def to_dict(self):
         data = super().to_dict()
         data["refs"] = int(self.refs)

@@ -279,11 +279,6 @@ class Fabric:
         self.crossbar = crossbar
         self.metrics = metrics
 
-    @property
-    def combining(self):
-        return self.metrics is not None and any(
-            switch.combine for switch in self.switches)
-
 
 def build_network(sim, stats, network, dest_of, outputs, name="net"):
     """Instantiate the interconnect a :class:`NetworkConfig` describes.

@@ -111,10 +111,6 @@ class AddressGeneratorUnit(Component):
         """Enqueue a stream operation (runs after earlier ones finish)."""
         self._queue.append(op)
 
-    @property
-    def idle(self):
-        return self._current is None and not self._queue
-
     def tick(self, now):
         self._collect_acks(now)
         if self._current is None and self._queue:

@@ -28,23 +28,12 @@ class ProgramResult:
         self.phase_cycles = phase_cycles
 
     @property
-    def microseconds(self):
-        return self.config.cycles_to_us(self.cycles)
-
-    @property
     def mem_refs(self):
         """Word references issued by the application to the memory system."""
         return int(self.stats.get("memsys.refs"))
 
-    @property
-    def fp_ops(self):
-        """Floating-point operations: kernels plus scatter-add FU sums."""
-        return int(self.stats.get("cluster.fp_ops") + self.stats.total("fu"))
-
     def __repr__(self):
-        return "ProgramResult(%d cycles, %.3f us)" % (
-            self.cycles, self.microseconds,
-        )
+        return "ProgramResult(%d cycles)" % (self.cycles,)
 
 
 class StreamProcessor:
@@ -145,16 +134,3 @@ class StreamProcessor:
         overhead = self.config.stream_op_overhead * max(agu_load)
         self.stats.add("memsys.stream_ops", len(mem_ops))
         return (end - start) + overhead
-
-    # ------------------------------------------------------------------ #
-    def scatter_add_cycles(self, addrs, values=1.0, base=0):
-        """Convenience: simulate a single scatterAdd stream op.
-
-        Returns (cycles, result_read_callback); used by the histogram
-        experiments where the scatter-add itself is the unit under test.
-        """
-        from repro.node.program import Phase, ScatterAdd
-
-        op = ScatterAdd(addrs, values)
-        result = self.run(StreamProgram([Phase([op])]))
-        return result

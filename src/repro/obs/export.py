@@ -224,7 +224,8 @@ def _payload(sample_every, trace_requests, scopes):
     }
 
 
-def _write_json(path, payload):
+def write_json(path, payload):
+    """Write a ``metrics.json`` payload to `path`; returns the payload."""
     with open(path, "w") as handle:
         json.dump(payload, handle, indent=2, sort_keys=True)
         handle.write("\n")
@@ -248,7 +249,7 @@ def metrics_payload(observation):
 
 def write_metrics(path, observation):
     """Write ``metrics.json`` for the observation; returns the payload."""
-    return _write_json(path, metrics_payload(observation))
+    return write_json(path, metrics_payload(observation))
 
 
 def run_metrics_payload(run_dict):
@@ -277,11 +278,6 @@ def run_metrics_payload(run_dict):
                          run_dict.get("latency_breakdown"))
     return _payload(observed["sample_every"], observed["trace_requests"],
                     [entry])
-
-
-def write_run_metrics(path, run_dict):
-    """Write ``metrics.json`` for a serialized run; returns the payload."""
-    return _write_json(path, run_metrics_payload(run_dict))
 
 
 #: Cross-counter conservation laws checked on every metrics payload:

@@ -103,7 +103,3 @@ class TimelineSampler(Component):
     @property
     def busy(self):
         return False  # never keeps the simulation alive
-
-    def as_dict(self):
-        return {timeline.name: timeline.as_dict()
-                for timeline in self.timelines}

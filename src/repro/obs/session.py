@@ -144,11 +144,6 @@ class Observation:
         self.trace_requests = int(trace_requests or 0)
         self.scopes = []
 
-    @property
-    def enabled(self):
-        return (self.sample_every > 0 or self.trace_enabled
-                or self.trace_requests > 0)
-
     def attach(self, sim, stats, label="", config=None):
         """Create a scope for one simulator; returns it."""
         scope = ObservationScope(self, len(self.scopes), sim, stats, label,

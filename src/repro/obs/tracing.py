@@ -94,10 +94,6 @@ class Span:
     def duration(self):
         return self.end - self.start
 
-    def as_dict(self):
-        return {"stage": self.stage, "component": self.component,
-                "start": self.start, "end": self.end}
-
     def __repr__(self):
         return "Span(%s@%s, %d..%d)" % (
             self.stage, self.component, self.start, self.end)
@@ -143,16 +139,6 @@ class RequestTrace:
         if self.done_cycle is None:
             return None
         return self.done_cycle - self.issue_cycle
-
-    def as_dict(self):
-        return {
-            "rid": self.rid,
-            "op": self.op,
-            "addr": self.addr,
-            "issue_cycle": self.issue_cycle,
-            "done_cycle": self.done_cycle,
-            "spans": [span.as_dict() for span in self.spans],
-        }
 
     def __repr__(self):
         return "RequestTrace(rid=%d, %s@%d, %d spans)" % (
@@ -223,15 +209,6 @@ class RequestTracer:
             self.dropped += 1
 
     # ------------------------------------------------------------------ #
-    @property
-    def sampled(self):
-        """Requests sampled so far (completed plus in flight)."""
-        return self._next_rid
-
-    @property
-    def completed(self):
-        return self._e2e.total
-
     def breakdown(self):
         """The queueing-vs-service latency attribution table.
 
@@ -280,4 +257,4 @@ class RequestTracer:
 
     def __repr__(self):
         return "RequestTracer(1-in-%d, %d sampled, %d completed)" % (
-            self.every, self.sampled, self.completed)
+            self.every, self._next_rid, self._e2e.total)

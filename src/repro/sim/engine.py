@@ -156,11 +156,6 @@ class Component:
         """
         return now + 1
 
-    def wake_at(self, cycle):
-        """Request a tick at `cycle` (idempotent; earliest request wins)."""
-        if self._sim is not None:
-            self._sim._wake(self, cycle)
-
     def watch(self, *channels):
         """Wake this component when data arrives on any of `channels`."""
         for channel in channels:
@@ -255,18 +250,6 @@ class Simulator:
         from repro.sim.queues import LatencyPipe
 
         pipe = LatencyPipe(latency, name=name)
-        pipe._engine = self
-        self._pipes.append(pipe)
-        return pipe
-
-    def adopt_fifo(self, queue):
-        """Register an externally-constructed FIFO for syncing."""
-        queue._engine = self
-        self._fifos.append(queue)
-        return queue
-
-    def adopt_pipe(self, pipe):
-        """Register an externally-constructed pipe for advancing."""
         pipe._engine = self
         self._pipes.append(pipe)
         return pipe

@@ -7,11 +7,11 @@ to commit staged pushes.  This decouples component evaluation order from
 simulation results and models single-cycle hop latency between pipeline
 stages.
 
-Channels created by (or adopted into) a simulator also feed its event
-scheduler: a push wakes the channel's registered readers, a pop of a full
-FIFO wakes its registered writers, and idle transitions maintain the O(1)
-quiescence count.  Standalone channels (``_engine is None``) skip all of
-that and behave exactly as before.
+Channels created by a simulator (``Simulator.fifo`` and ``pipe``) also
+feed its event scheduler: a push wakes the channel's registered readers, a
+pop of a full FIFO wakes its registered writers, and idle transitions
+maintain the O(1) quiescence count.  Standalone channels (``_engine is
+None``) skip all of that.
 """
 
 from collections import deque
@@ -37,9 +37,7 @@ class FIFO:
         self.name = name
         self._committed = deque()
         self._staged = deque()
-        self.total_pushed = 0
-        self.total_popped = 0
-        self._engine = None  # owning Simulator, set on register/adopt
+        self._engine = None  # owning Simulator, set by Simulator.fifo
         self._readers = []  # components woken when data arrives
         self._writers = []  # components woken when a full queue frees
         self._dirty = False  # staged pushes pending (engine sync list)
@@ -67,7 +65,6 @@ class FIFO:
             )
         was_idle = not self._committed and not self._staged
         self._staged.append(item)
-        self.total_pushed += 1
         if self._engine is not None:
             self._engine._fifo_pushed(self, was_idle)
 
@@ -83,7 +80,6 @@ class FIFO:
             raise IndexError("pop from empty FIFO %r" % (self.name,))
         was_full = (self.capacity is not None
                     and self.occupancy >= self.capacity)
-        self.total_popped += 1
         item = self._committed.popleft()
         if self._engine is not None:
             self._engine._fifo_popped(self, was_full, self.idle)
@@ -107,7 +103,6 @@ class FIFO:
             return items
         was_full = (self.capacity is not None
                     and self.occupancy >= self.capacity)
-        self.total_popped += len(items)
         self._committed.clear()
         if self._engine is not None:
             self._engine._fifo_popped(self, was_full, self.idle)
@@ -142,7 +137,6 @@ class LatencyPipe:
         self.name = name
         self._in_flight = deque()  # (ready_cycle, item)
         self._ready = deque()
-        self.total_pushed = 0
         self._engine = None
         self._readers = []
         self._writers = []
@@ -150,7 +144,6 @@ class LatencyPipe:
     def push(self, item, now):
         """Insert `item`, to become ready at cycle ``now + latency``."""
         was_idle = not self._in_flight and not self._ready
-        self.total_pushed += 1
         ready_cycle = now + self.latency
         self._in_flight.append((ready_cycle, item))
         if self._engine is not None:
@@ -168,11 +161,6 @@ class LatencyPipe:
     def next_ready(self):
         """Ready cycle of the oldest in-flight entry, or ``None`` if none."""
         return self._in_flight[0][0] if self._in_flight else None
-
-    def peek(self):
-        if not self._ready:
-            raise IndexError("peek on empty pipe %r" % (self.name,))
-        return self._ready[0]
 
     def pop(self):
         if not self._ready:

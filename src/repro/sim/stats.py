@@ -6,11 +6,11 @@ histograms (the types live in :mod:`repro.obs.metrics`).  Components
 obtain handles once at construction (``stats.counter("dram.reads")``,
 ``stats.gauge(...)``, ``stats.histogram(...)``) and bump them on the hot
 path; a counter handle's ``inc`` is one add into the counter dict, which
-:meth:`add` also writes.  Counters are plain integers/floats, with helpers
-for merging and pretty-printing, which the experiment harness uses to
-report the paper's "FP Operations" and "Mem References" bars (Figures 9
-and 10).  :meth:`snapshot` exports all three kinds for ``metrics.json``
-and saved runs; :meth:`from_snapshot` restores them.
+:meth:`add` also writes.  Counters are plain integers/floats; the
+experiment harness reads them to report the paper's "FP Operations" and
+"Mem References" bars (Figures 9 and 10).  :meth:`snapshot` exports all
+three kinds for ``metrics.json`` and saved runs; :meth:`from_snapshot`
+restores them.
 """
 
 from collections import defaultdict
@@ -84,28 +84,6 @@ class Stats:
     def __contains__(self, name):
         return name in self._counters
 
-    def names(self):
-        """Sorted counter names."""
-        return sorted(self._counters)
-
-    def group(self, prefix):
-        """Return a dict of counters under ``prefix.`` with prefix stripped."""
-        full = prefix + "."
-        return {
-            name[len(full):]: value
-            for name, value in self._counters.items()
-            if name.startswith(full)
-        }
-
-    def total(self, prefix):
-        """Sum of all counters under ``prefix.`` (plus `prefix` itself)."""
-        full = prefix + "."
-        return sum(
-            value
-            for name, value in self._counters.items()
-            if name == prefix or name.startswith(full)
-        )
-
     def record_engine(self, sim):
         """Snapshot a simulator's scheduler counters under ``engine.*``.
 
@@ -158,20 +136,6 @@ class Stats:
             histogram.total = data["total"]
             histogram.sum = data["sum"]
         return stats
-
-    def report(self, prefix=None):
-        """Human-readable multi-line report, optionally filtered by prefix."""
-        lines = []
-        for name in self.names():
-            if prefix is not None and not (
-                name == prefix or name.startswith(prefix + ".")
-            ):
-                continue
-            value = self._counters[name]
-            if value == int(value):
-                value = int(value)
-            lines.append("%-48s %s" % (name, value))
-        return "\n".join(lines)
 
     def __repr__(self):
         return "Stats(%d counters, %d gauges, %d histograms)" % (

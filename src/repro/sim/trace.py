@@ -72,13 +72,6 @@ class TraceLog:
                 continue
             yield event
 
-    def count(self, **criteria):
-        return sum(1 for __ in self.filter(**criteria))
-
-    def clear(self):
-        self.events.clear()
-        self.dropped = 0
-
     def render(self, limit=None, **criteria):
         """Human-readable listing (optionally filtered and truncated)."""
         lines = []

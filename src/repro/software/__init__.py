@@ -12,15 +12,9 @@ same machine model as the hardware:
   construction.
 - :mod:`~repro.software.coloring` -- partition the updates into
   non-colliding *colors* offline and scatter one color at a time.
-
-Plus the coarse-grained multi-processor technique:
-
-- :mod:`~repro.software.partition` -- equally partition the data, compute
-  local sums, and perform a global reduction.
 """
 
 from repro.software.coloring import ColoringScatterAdd, greedy_color_indices
-from repro.software.partition import PartitionReduceScatterAdd
 from repro.software.privatization import PrivatizationScatterAdd
 from repro.software.scan import segmented_scan_sums
 from repro.software.sort import bitonic_sort_pairs, dpa_sort_pairs
@@ -28,7 +22,6 @@ from repro.software.sortscan import SoftwareRun, SortScanScatterAdd
 
 __all__ = [
     "ColoringScatterAdd",
-    "PartitionReduceScatterAdd",
     "PrivatizationScatterAdd",
     "SoftwareRun",
     "SortScanScatterAdd",

@@ -59,31 +59,9 @@ MERGE_OPS_PER_ELEM = CE_OPS
 BITONIC_BLOCK = 256
 
 
-def bitonic_passes(n):
-    """Compare-exchange passes of a full bitonic network on `n` elements."""
-    if n <= 1:
-        return 0
-    k = (n - 1).bit_length()
-    return k * (k + 1) // 2
-
-
-def _merge_passes(batch, block):
-    """Pairwise merge passes combining `batch // block` sorted blocks."""
-    blocks = max(1, batch // block)
-    return (blocks - 1).bit_length()
-
-
-def sort_kernel_ops(batch):
-    """Machine ops to sort one batch of (key, value) pairs on the DPA."""
-    block = min(batch, BITONIC_BLOCK)
-    ops = bitonic_passes(block) * (batch // 2 if batch >= 2 else 0) * CE_OPS
-    # Merge passes combine sorted blocks pairwise: log2(batch/block) passes,
-    # each touching every element once through the odd-even merge network.
-    ops += _merge_passes(batch, block) * batch * MERGE_OPS_PER_ELEM
-    return ops
-
-
 def merge_memory_words(batch):
     """Words round-tripped to memory by merge passes beyond the SRF block."""
-    # keys + values, read and written once per pass
-    return _merge_passes(batch, BITONIC_BLOCK) * batch * 4
+    # Pairwise merge passes combine the batch's sorted blocks; each pass
+    # reads and writes keys and values once.
+    passes = (max(1, batch // BITONIC_BLOCK) - 1).bit_length()
+    return passes * batch * 4

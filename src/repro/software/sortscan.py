@@ -37,14 +37,6 @@ class SoftwareRun:
     def microseconds(self):
         return self.config.cycles_to_us(self.cycles)
 
-    @property
-    def mem_refs(self):
-        return int(self.stats.get("memsys.refs"))
-
-    @property
-    def fp_ops(self):
-        return int(self.stats.get("cluster.fp_ops"))
-
     def __repr__(self):
         return "SoftwareRun(%d cycles, %.3f us)" % (
             self.cycles, self.microseconds,

@@ -87,13 +87,6 @@ class TetMesh:
             indptr[row + 1] = position
         return indptr, indices, data
 
-    @property
-    def nnz_per_row(self):
-        """Average nonzeros per row of the assembled matrix."""
-        rows = self.assemble_dense_rows()
-        total = sum(len(cols) for cols in rows.values())
-        return total / self.num_nodes
-
     def __repr__(self):
         return "TetMesh(%d elements, %d nodes)" % (
             self.num_elements, self.num_nodes,

@@ -101,11 +101,3 @@ class HistogramWorkload:
         return self._run_software(
             config, PrivatizationScatterAdd(config), "privatization"
         )
-
-    def run_coloring(self, config):
-        """Software coloring implementation (off-line coloring assumed)."""
-        from repro.software.coloring import ColoringScatterAdd
-
-        return self._run_software(
-            config, ColoringScatterAdd(config), "coloring"
-        )

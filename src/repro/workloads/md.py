@@ -180,10 +180,6 @@ class MDResult:
         self.stats = stats
 
     @property
-    def microseconds(self):
-        return self.config.cycles_to_us(self.cycles)
-
-    @property
     def fp_ops(self):
         return int(self.stats.get("cluster.fp_ops") + self.stats.get("fu.sums"))
 

@@ -70,10 +70,6 @@ class PICDeposition:
         ])
         return indices.reshape(-1), weights.reshape(-1)
 
-    def deposition_stream(self):
-        """The scatter-add trace: 4 (index, weight) updates per particle."""
-        return self._indices, self._weights
-
     def reference(self):
         """Ground-truth charge grid via numpy."""
         return scatter_add_reference(

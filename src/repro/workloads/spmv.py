@@ -57,10 +57,6 @@ class SpMVResult:
         self.stats = stats
 
     @property
-    def microseconds(self):
-        return self.config.cycles_to_us(self.cycles)
-
-    @property
     def fp_ops(self):
         return int(self.stats.get("cluster.fp_ops") + self.stats.get("fu.sums"))
 

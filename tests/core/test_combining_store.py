@@ -37,8 +37,8 @@ class TestCombiningStore:
     def test_cam_lookup(self):
         store = CombiningStore(4)
         store.allocate(7, 1.0, "scatter_add")
-        assert store.has_address(7)
-        assert not store.has_address(8)
+        assert store.waiting_count(7) == 1
+        assert store.waiting_count(8) == 0
 
     def test_pop_waiting_fifo_order_per_address(self):
         store = CombiningStore(4)

@@ -51,7 +51,7 @@ class TestMainMemory:
         memory = MainMemory()
         memory.write_word(9, 1.0)
         memory.write_word(3, 1.0)
-        assert memory.touched_addresses() == [3, 9]
+        assert list(np.flatnonzero(memory.export_array(0, 16))) == [3, 9]
         assert len(memory) == 2
 
     @given(st.dictionaries(st.integers(0, 1000),

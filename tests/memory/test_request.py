@@ -19,6 +19,7 @@ from repro.memory.request import (
     combine,
     identity_value,
 )
+from repro.node.agu import StreamMemOp
 
 finite = st.floats(allow_nan=False, allow_infinity=False,
                    min_value=-1e12, max_value=1e12)
@@ -71,10 +72,11 @@ class TestRequest:
         assert not MemoryRequest(OP_WRITE, 0).is_atomic
 
     def test_wants_data(self):
-        assert MemoryRequest(OP_READ, 0).wants_data
-        assert MemoryRequest(OP_FETCH_ADD, 0).wants_data
-        assert not MemoryRequest(OP_SCATTER_ADD, 0).wants_data
-        assert not MemoryRequest(OP_WRITE, 0).wants_data
+        # Only data-carrying ops get a result buffer on the stream op
+        # that issues them.
+        for op, wants in ((OP_READ, True), (OP_FETCH_ADD, True),
+                          (OP_SCATTER_ADD, False), (OP_WRITE, False)):
+            assert (StreamMemOp(op, [0], 1.0).result is not None) == wants
 
     def test_defaults(self):
         request = MemoryRequest(OP_WRITE, 10, value=1.5)

@@ -113,4 +113,4 @@ class TestRowBuffer:
         # The default config must not touch row-buffer counters.
         indices = rng.integers(0, 512, size=512)
         run = Simulation().run("scatter_add", indices, 1.0, num_targets=512)
-        assert "dram.row_hits" not in run.stats.names()
+        assert "dram.row_hits" not in run.stats.as_dict()

@@ -259,7 +259,7 @@ class TestTreeTopology:
         # 16 leaves at radix 4: four level-0 switches plus one root.
         assert len(fabric.switches) == 5
         assert len(fabric.inputs) == 16
-        assert fabric.combining
+        assert all(switch.combine for switch in fabric.switches)
 
     def test_degenerate_crossbar_is_the_legacy_component(self):
         sim = Simulator()
@@ -271,7 +271,6 @@ class TestTreeTopology:
         assert fabric.crossbar is not None
         assert fabric.switches == []
         assert fabric.metrics is None
-        assert not fabric.combining
         # No sim.network.* counters exist on the legacy path.
         assert not any(key.startswith("sim.network")
                        for key in stats.as_dict())

@@ -1,7 +1,6 @@
 """End-to-end tests for the single-node stream processor."""
 
 import numpy as np
-import pytest
 
 from repro.api import scatter_add_reference
 from repro.config import MachineConfig
@@ -96,11 +95,6 @@ class TestStreamProcessor:
         assert processor.stats.get("agu0.refs") == 2
         assert processor.stats.get("agu1.refs") == 2
 
-    def test_microseconds_conversion(self, table1):
-        processor = StreamProcessor(table1)
-        result = processor.run(StreamProgram([Phase([Kernel("k", 12800)])]))
-        assert result.microseconds == pytest.approx(result.cycles * 1e-3)
-
     def test_mem_refs_and_fp_ops_exposed(self, rng, table1):
         processor = StreamProcessor(table1)
         indices = [int(i) for i in rng.integers(0, 16, size=64)]
@@ -109,13 +103,9 @@ class TestStreamProcessor:
             Phase([ScatterAdd(indices, 1.0)]),
         ]))
         assert result.mem_refs == 500 + 64
-        assert result.fp_ops == 1000 + 64  # kernel ops + FU sums
-
-    def test_scatter_add_cycles_convenience(self, rng, table1):
-        processor = StreamProcessor(table1)
-        result = processor.scatter_add_cycles(
-            [int(i) for i in rng.integers(0, 32, size=100)])
-        assert result.cycles > 0
+        # kernel ops + FU sums, the counters the Fig. 9/10 bars add up
+        assert (result.stats.get("cluster.fp_ops")
+                + result.stats.get("fu.sums")) == 1000 + 64
 
     def test_hot_bank_slower_than_spread(self, table1):
         # All updates to one bank vs spread across banks: the hot-bank

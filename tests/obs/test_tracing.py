@@ -36,13 +36,14 @@ class TestSampling:
     def test_one_in_n_by_issue_order(self, rng):
         run = _traced_run(rng, every=7, updates=1500)
         tracer = _tracer_of(run)
-        assert tracer.sampled == math.ceil(1500 / 7)
-        assert tracer.completed == tracer.sampled  # all requests retired
-        assert len(tracer.traces) == tracer.sampled
+        # Every sampled request retired, so all of them are in the table.
+        requests = tracer.breakdown()["requests"]
+        assert requests == math.ceil(1500 / 7)
+        assert len(tracer.traces) == requests
 
     def test_every_one_traces_every_request(self, rng):
         run = _traced_run(rng, every=1, updates=200, targets=64)
-        assert _tracer_of(run).completed == 200
+        assert _tracer_of(run).breakdown()["requests"] == 200
 
     def test_rejects_non_positive_period(self):
         with pytest.raises(ValueError):
@@ -57,7 +58,8 @@ class TestSampling:
             trace.finish(4)
         assert len(tracer.traces) == 3
         assert tracer.dropped == 2
-        assert tracer.completed == 5  # histograms still see every trace
+        # histograms still see every trace
+        assert tracer.breakdown()["requests"] == 5
 
 
 class TestLegPartition:
@@ -201,7 +203,8 @@ class TestFlowExport:
         events = chrome_trace_events(run.observation)
         starts = [e for e in events if e["ph"] == "s"]
         finishes = [e for e in events if e["ph"] == "f"]
-        assert len(starts) == len(finishes) == _tracer_of(run).completed
+        assert len(starts) == len(finishes) == (
+            _tracer_of(run).breakdown()["requests"])
         assert all(e.get("bp") == "e" for e in finishes)
 
 

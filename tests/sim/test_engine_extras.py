@@ -1,13 +1,13 @@
-"""Coverage for engine conveniences: adopted channels, until-bounds."""
+"""Coverage for engine conveniences: owned channels, until-bounds."""
 
 import pytest
 
 from repro.sim.engine import Component, Simulator
-from repro.sim.queues import FIFO, LatencyPipe
+from repro.sim.queues import FIFO
 
 
 class Mover(Component):
-    """Moves items from an adopted FIFO through an adopted pipe."""
+    """Moves items from a simulator-owned FIFO through an owned pipe."""
 
     def __init__(self, queue, pipe):
         super().__init__("mover")
@@ -25,8 +25,8 @@ class Mover(Component):
 class TestAdoptedChannels:
     def test_adopted_fifo_synced_and_counted_for_quiescence(self):
         sim = Simulator()
-        queue = sim.adopt_fifo(FIFO(name="external"))
-        pipe = sim.adopt_pipe(LatencyPipe(3, name="external_pipe"))
+        queue = sim.fifo(name="owned")
+        pipe = sim.pipe(3, name="owned_pipe")
         mover = sim.register(Mover(queue, pipe))
         queue.push("a")
         queue.push("b")
@@ -38,7 +38,7 @@ class TestAdoptedChannels:
         sim = Simulator()
         rogue = FIFO(name="rogue")
         rogue.push("stuck")
-        # not adopted: the simulator quiesces immediately
+        # not owned by the simulator: it quiesces immediately
         assert sim.run() == 0
 
 

@@ -71,15 +71,6 @@ class TestFIFO:
         queue.sync()
         assert queue.pop() == 99
 
-    def test_counters(self):
-        queue = FIFO()
-        queue.push(1)
-        queue.push(2)
-        queue.sync()
-        queue.pop()
-        assert queue.total_pushed == 2
-        assert queue.total_popped == 1
-
     @given(st.lists(st.integers(), max_size=50))
     def test_everything_pushed_is_popped_in_order(self, items):
         queue = FIFO()

@@ -25,7 +25,7 @@ class Ping(Component):
     def schedule(self, *cycles):
         self.pending = sorted(set(self.pending) | set(cycles))
         for cycle in cycles:
-            self.wake_at(cycle)
+            self._sim._wake(self, cycle)
 
     def tick(self, now):
         if self.pending and self.pending[0] <= now:

@@ -23,20 +23,6 @@ class TestStats:
         stats.set("x", 2)
         assert stats.get("x") == 2
 
-    def test_group_strips_prefix(self):
-        stats = Stats()
-        stats.add("dram.reads", 3)
-        stats.add("dram.writes", 1)
-        stats.add("cache.hits", 9)
-        assert stats.group("dram") == {"reads": 3, "writes": 1}
-
-    def test_total_sums_subtree(self):
-        stats = Stats()
-        stats.add("fu.sums", 10)
-        stats.add("fu.sums.int", 4)
-        stats.add("fuel", 99)  # must not match the "fu" prefix
-        assert stats.total("fu") == 14
-
     def test_merge_accumulates(self):
         left, right = Stats(), Stats()
         left.add("a", 1)
@@ -45,20 +31,6 @@ class TestStats:
         left.merge(right)
         assert left.get("a") == 3
         assert left.get("b") == 3
-
-    def test_names_sorted(self):
-        stats = Stats()
-        stats.add("zeta")
-        stats.add("alpha")
-        assert stats.names() == ["alpha", "zeta"]
-
-    def test_report_filters_by_prefix(self):
-        stats = Stats()
-        stats.add("a.x", 1)
-        stats.add("b.y", 2)
-        report = stats.report("a")
-        assert "a.x" in report
-        assert "b.y" not in report
 
     def test_as_dict_snapshot(self):
         stats = Stats()

@@ -1,49 +1,6 @@
 """Tests for the software cost-model helpers."""
 
-from hypothesis import given, strategies as st
-
 from repro.software import costmodel
-
-
-class TestBitonicPasses:
-    def test_known_values(self):
-        assert costmodel.bitonic_passes(1) == 0
-        assert costmodel.bitonic_passes(2) == 1
-        assert costmodel.bitonic_passes(4) == 3
-        assert costmodel.bitonic_passes(8) == 6
-        assert costmodel.bitonic_passes(256) == 36
-
-    def test_non_power_of_two_rounds_up(self):
-        assert costmodel.bitonic_passes(5) == costmodel.bitonic_passes(8)
-
-    @given(st.integers(2, 1 << 16))
-    def test_passes_are_k_choose_formula(self, n):
-        k = (n - 1).bit_length()
-        assert costmodel.bitonic_passes(n) == k * (k + 1) // 2
-
-
-class TestSortKernelOps:
-    def test_zero_and_one_element(self):
-        assert costmodel.sort_kernel_ops(1) == 0
-
-    def test_block_sized_batch_no_merge(self):
-        batch = costmodel.BITONIC_BLOCK
-        expected = (costmodel.bitonic_passes(batch) * (batch // 2)
-                    * costmodel.CE_OPS)
-        assert costmodel.sort_kernel_ops(batch) == expected
-
-    def test_merge_passes_added_beyond_block(self):
-        batch = 4 * costmodel.BITONIC_BLOCK
-        base = (costmodel.bitonic_passes(costmodel.BITONIC_BLOCK)
-                * (batch // 2) * costmodel.CE_OPS)
-        merges = 2 * batch * costmodel.MERGE_OPS_PER_ELEM  # log2(4) passes
-        assert costmodel.sort_kernel_ops(batch) == base + merges
-
-    @given(st.sampled_from([64, 128, 256, 512, 1024, 4096]))
-    def test_ops_positive_and_monotone(self, batch):
-        assert costmodel.sort_kernel_ops(batch) > 0
-        assert (costmodel.sort_kernel_ops(batch * 2)
-                > costmodel.sort_kernel_ops(batch))
 
 
 class TestMergeMemoryWords:

@@ -3,7 +3,6 @@
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.software.costmodel import bitonic_passes, sort_kernel_ops
 from repro.software.sort import bitonic_sort_pairs, dpa_sort_pairs
 
 
@@ -38,7 +37,7 @@ class TestBitonicSort:
         __, __, reversed_ces = bitonic_sort_pairs(list(range(16))[::-1],
                                                   [0.0] * 16)
         assert sorted_ces == reversed_ces
-        assert sorted_ces == bitonic_passes(16) * 8  # n/2 CEs per pass
+        assert sorted_ces == 10 * 8  # log2(16)=4: 4*5/2 passes, n/2 CEs each
 
     @settings(max_examples=30, deadline=None)
     @given(st.lists(st.integers(0, 1000), max_size=80))
@@ -79,12 +78,15 @@ class TestDPASort:
 
 class TestCostModel:
     def test_bitonic_passes(self):
-        assert bitonic_passes(1) == 0
-        assert bitonic_passes(2) == 1
-        assert bitonic_passes(256) == 36
-        assert bitonic_passes(1024) == 55
+        # k(k+1)/2 passes of n/2 compare-exchanges, k = ceil(log2 n).
+        for n, passes in ((1, 0), (2, 1), (5, 6), (256, 36), (1024, 55)):
+            __, __, ces = bitonic_sort_pairs(list(range(n)), [0.0] * n)
+            padded = 1 << (n - 1).bit_length() if n > 1 else 1
+            assert ces == passes * (padded // 2)
 
-    def test_sort_kernel_ops_grow_superlinearly(self):
-        per_elem_256 = sort_kernel_ops(256) / 256
-        per_elem_4096 = sort_kernel_ops(4096) / 4096
-        assert per_elem_4096 > per_elem_256
+    def test_sort_ops_grow_superlinearly(self):
+        rng = np.random.default_rng(0)
+        keys = rng.integers(0, 1 << 20, size=4096)
+        __, __, ops_256 = dpa_sort_pairs(keys[:256], np.zeros(256))
+        __, __, ops_4096 = dpa_sort_pairs(keys, np.zeros(4096))
+        assert ops_4096 / 4096 > ops_256 / 256

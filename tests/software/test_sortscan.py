@@ -61,8 +61,8 @@ class TestSortScan:
     def test_mem_refs_and_fp_ops_counted(self, rng, table1):
         run = SortScanScatterAdd(table1).run(
             rng.integers(0, 16, size=256), 1.0, num_targets=16)
-        assert run.mem_refs > 0
-        assert run.fp_ops > 0
+        assert run.stats.get("memsys.refs") > 0
+        assert run.stats.get("cluster.fp_ops") > 0
 
     def test_invalid_batch(self, table1):
         with pytest.raises(ValueError):

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.config import MachineConfig
 from repro.workloads.histogram import HistogramWorkload, generate_dataset
 
 
@@ -45,10 +44,6 @@ class TestHistogramWorkload:
 
     def test_privatization_matches_reference(self, workload, table1):
         result = workload.run_privatization(table1)
-        assert np.array_equal(result.bins, workload.reference())
-
-    def test_coloring_matches_reference(self, workload, table1):
-        result = workload.run_coloring(table1)
         assert np.array_equal(result.bins, workload.reference())
 
     def test_hardware_faster_than_software(self, table1):

@@ -13,18 +13,18 @@ class TestCICWeights:
 
     def test_weights_nonnegative(self):
         pic = PICDeposition(200, nx=8, ny=8, seed=2)
-        __, weights = pic.deposition_stream()
+        weights = pic._weights
         assert (weights >= 0).all()
 
     def test_four_updates_per_particle(self):
         pic = PICDeposition(100, nx=8, ny=8)
-        indices, weights = pic.deposition_stream()
+        indices, weights = pic._indices, pic._weights
         assert len(indices) == 400
         assert len(weights) == 400
 
     def test_indices_within_grid(self):
         pic = PICDeposition(300, nx=8, ny=8, seed=3)
-        indices, __ = pic.deposition_stream()
+        indices = pic._indices
         assert indices.min() >= 0
         assert indices.max() < pic.grid_points
 
@@ -83,7 +83,7 @@ class TestPICRuns:
         # memory and deposition slows down measurably.
         pic = PICDeposition(2048, nx=16, ny=16, seed=8,
                             sorted_particles=True)
-        indices, weights = pic.deposition_stream()
+        indices, weights = pic._indices, pic._weights
         from repro.api import Simulation
 
         chained = Simulation(table1, chaining=True).run(
