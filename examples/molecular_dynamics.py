@@ -39,7 +39,7 @@ def main():
     print("%-26s %12s %14s %12s" % ("method", "cycles", "FP ops",
                                     "mem refs"))
     for name, result in results:
-        assert np.allclose(result.forces, reference, atol=1e-6), name
+        assert np.allclose(result.result, reference, atol=1e-6), name
         print("%-26s %12d %14d %12d" % (name, result.cycles,
                                         result.fp_ops, result.mem_refs))
 

@@ -40,7 +40,7 @@ def main():
     print("%-22s %12s %12s %12s" % ("method", "cycles", "FP ops",
                                     "mem refs"))
     for name, result in results:
-        assert np.allclose(result.y, reference, atol=1e-6), name
+        assert np.allclose(result.result, reference, atol=1e-6), name
         print("%-22s %12d %12d %12d" % (name, result.cycles,
                                         result.fp_ops, result.mem_refs))
 

@@ -26,8 +26,7 @@ Quickstart::
 :class:`ScatterRun` serializes losslessly (:meth:`ScatterRun.to_dict`,
 :meth:`ScatterRun.save` / :meth:`ScatterRun.load`), so a saved run
 reloads with byte-identical metrics, and :class:`Simulation` accepts a
-plain config dict and reports its canonical spec via
-:meth:`Simulation.describe`.
+plain config dict.
 """
 
 import json
@@ -397,30 +396,6 @@ class Simulation:
             system.load_array(base, np.asarray(initial, dtype=np.float64))
         return system.scatter_add(indices, values, num_targets=num_targets,
                                   base=base)
-
-    def describe(self):
-        """The canonical spec of this simulation.
-
-        A plain, JSON-serializable dict naming everything that determines
-        what a :meth:`run` produces and how it is executed: the full
-        configuration (plus its :meth:`~repro.config.MachineConfig.canonical_hash`),
-        the chaining knob, the *resolved* scheduler engine (``engine=None``
-        resolves against the process default, so two processes under
-        different ``REPRO_SCHEDULER`` settings describe themselves
-        differently), and the observation knobs that change the payload a
-        run carries (``sample_every``, ``trace_requests``).
-        """
-        from repro.sim import engine as _engine
-
-        return {
-            "config": self.config.to_dict(),
-            "config_hash": self.config.canonical_hash(),
-            "chaining": bool(self.chaining),
-            "engine": self.engine if self.engine is not None
-            else _engine.DEFAULT_SCHEDULER,
-            "sample_every": int(self.sample_every),
-            "trace_requests": int(self.trace_requests),
-        }
 
     def __repr__(self):
         return "Simulation(%r, chaining=%r)" % (self.config, self.chaining)

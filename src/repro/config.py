@@ -11,23 +11,10 @@ converted to words/cycle here; a *word* is 8 bytes (the 64-bit data type of
 the Merrimac scatter-add unit).
 """
 
-import hashlib
-import json
 from dataclasses import dataclass, field, fields, replace
 
 #: Bytes per machine word (64-bit floating point / integer).
 WORD_BYTES = 8
-
-#: Version tag baked into every canonical config hash.  Bump it whenever a
-#: field is added, removed or changes meaning, so hashes from different
-#: schema generations can never collide — a cache keyed on
-#: :meth:`MachineConfig.canonical_hash` is invalidated wholesale instead of
-#: silently serving results computed under other semantics.
-#:
-#: Generation 2 always nests the interconnect under ``network`` (a
-#: :class:`NetworkConfig`); generation 1 spelled the node count and link
-#: bandwidth as top-level scalars.
-CONFIG_SCHEMA = "repro.config/2"
 
 
 @dataclass(frozen=True)
@@ -317,21 +304,6 @@ class MachineConfig:
             raise ValueError("unknown MachineConfig field(s): %s"
                              % ", ".join(unknown))
         return cls(**data)
-
-    def canonical_hash(self):
-        """Stable content hash of this configuration.
-
-        SHA-256 over the version-tagged canonical JSON form (sorted keys,
-        explicit value for every field).  Two configs hash identically iff
-        every field value matches — however they were constructed (kwargs,
-        :meth:`from_dict`, :meth:`with_changes`) and whether a value was
-        passed explicitly or defaulted.  Because defaults are expanded
-        before hashing, editing a field *default* in code only changes the
-        hashes of configs that actually carry the new value.
-        """
-        payload = json.dumps({"schema": CONFIG_SCHEMA, "config": self.to_dict()},
-                             sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
     # --- presets used by the experiments ------------------------------------
     @classmethod

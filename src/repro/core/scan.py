@@ -32,8 +32,9 @@ SCAN_EFFICIENCY = 0.5
 class ScanResult:
     """Outcome of a hardware-assisted prefix sum."""
 
-    def __init__(self, config, exclusive, total, cycles, stats):
+    def __init__(self, config, values, exclusive, total, cycles, stats):
         self.config = config
+        self._values = np.asarray(values, dtype=np.float64)
         #: Exclusive prefix sums (result[i] = sum of values[:i]).
         self.exclusive = exclusive
         #: Grand total (the counter's final value).
@@ -43,7 +44,7 @@ class ScanResult:
 
     @property
     def inclusive(self):
-        return self.exclusive + np.asarray(self._values)
+        return self.exclusive + self._values
 
     def __repr__(self):
         return "ScanResult(%d elements, %d cycles)" % (
@@ -70,10 +71,8 @@ def fetch_add_prefix_sum(values, config, counter_addr=0):
     result = processor.run(StreamProgram([Phase([op])]))
     exclusive = np.asarray(op.result, dtype=np.float64)
     total = processor.read_result(counter_addr, 1)[0]
-    scan = ScanResult(config, exclusive, total, result.cycles,
+    return ScanResult(config, values, exclusive, total, result.cycles,
                       processor.stats)
-    scan._values = values
-    return scan
 
 
 def blocked_prefix_sum(values, config, block=256, counter_addr=0):
@@ -118,7 +117,5 @@ def blocked_prefix_sum(values, config, block=256, counter_addr=0):
         local = np.cumsum(chunk) - chunk
         exclusive[start:start + block] = offsets[index] + local
     total = processor.read_result(counter_addr, 1)[0]
-    scan = ScanResult(config, exclusive, total, result.cycles,
+    return ScanResult(config, values, exclusive, total, result.cycles,
                       processor.stats)
-    scan._values = values
-    return scan

@@ -59,8 +59,8 @@ def figure6(sizes=(256, 512, 1024, 2048, 4096, 8192), index_range=2048,
         reference = workload.reference()
         hardware = workload.run_hardware(config)
         software = workload.run_sortscan(config)
-        _check(hardware.bins, reference, "figure6 hw n=%d" % size)
-        _check(software.bins, reference, "figure6 sw n=%d" % size)
+        _check(hardware.result, reference, "figure6 hw n=%d" % size)
+        _check(software.result, reference, "figure6 sw n=%d" % size)
         rows.append({
             "n": size,
             "scatter_add_us": hardware.microseconds,
@@ -121,8 +121,8 @@ def figure8(lengths=(1024, 32768), ranges=(128, 512, 2048, 8192), seed=0,
             reference = workload.reference()
             hardware = workload.run_hardware(config)
             private = workload.run_privatization(config)
-            _check(hardware.bins, reference, "figure8 hw")
-            _check(private.bins, reference, "figure8 priv")
+            _check(hardware.result, reference, "figure8 hw")
+            _check(private.result, reference, "figure8 priv")
             rows.append({
                 "n": length,
                 "range": index_range,
@@ -155,7 +155,7 @@ def figure9(mesh_dims=(8, 8, 5), seed=0, config=None):
                           ("EBE SW scatter-add", workload.run_ebe_software),
                           ("EBE HW scatter-add", workload.run_ebe_hardware)):
         result = runner(config)
-        _check(result.y, reference, "figure9 %s" % label, atol=1e-6)
+        _check(result.result, reference, "figure9 %s" % label, atol=1e-6)
         rows.append({
             "method": label,
             "exec_cycles_M": result.cycles / 1e6,
@@ -187,7 +187,7 @@ def figure10(molecules=903, seed=0, config=None):
                           ("SW scatter-add", workload.run_software),
                           ("HW scatter-add", workload.run_hardware)):
         result = runner(config)
-        _check(result.forces, reference, "figure10 %s" % label, atol=1e-6)
+        _check(result.result, reference, "figure10 %s" % label, atol=1e-6)
         rows.append({
             "method": label,
             "exec_cycles_M": result.cycles / 1e6,

@@ -8,7 +8,9 @@ inject up to ``bw_words`` requests and every output port may accept up to
 stalls its whole input port: classic input-queued head-of-line blocking,
 which is part of why the low-bandwidth configurations stop scaling.
 
-Requests traverse the switch with a fixed pipeline latency.
+Requests traverse the switch with a fixed pipeline latency: one
+:class:`~repro.sim.queues.LatencyPipe` per output port, owned by the
+crossbar.
 
 This is the degenerate case of the :mod:`repro.network.fabric` topology
 family (``NetworkConfig(topology="crossbar", combine_site="memory")``);
@@ -17,6 +19,7 @@ unchanged on that path, so legacy multi-node runs stay bit-identical.
 """
 
 from repro.sim.engine import Component
+from repro.sim.queues import LatencyPipe
 
 #: Fixed switch traversal latency in cycles (arbitration + flight time).
 HOP_LATENCY = 16
@@ -47,7 +50,7 @@ class Crossbar(Component):
             for dest in range(nodes)
         ]
         self._pipes = [
-            sim.pipe(HOP_LATENCY, name="%s.pipe%d" % (name, port))
+            LatencyPipe(HOP_LATENCY, name="%s.pipe%d" % (name, port))
             for port in range(nodes)
         ]
         # Wake/sleep protocol: injections wake the switch; a pop of a full
@@ -58,7 +61,7 @@ class Crossbar(Component):
     def tick(self, now):
         # Deliver requests that finished traversing the switch.
         for dest, pipe in enumerate(self._pipes):
-            while pipe.ready():
+            while pipe.ready(now):
                 if not self.outputs[dest].can_push():
                     break
                 request = pipe.pop()
@@ -97,7 +100,7 @@ class Crossbar(Component):
                 return now + 1
         wake = None
         for pipe in self._pipes:
-            if pipe.ready():
+            if pipe.ready(now):
                 return now + 1  # deliverable (possibly output-blocked)
             head = pipe.next_ready()
             if head is not None and (wake is None or head < wake):
@@ -108,12 +111,13 @@ class Crossbar(Component):
 
     @property
     def busy(self):
-        return False  # FIFOs and pipes carry all pending state
+        # Words traversing the switch; queued words sit in engine FIFOs.
+        return any(pipe.occupancy for pipe in self._pipes)
 
     def obs_probes(self):
         return (
             ("queued_words", lambda now: sum(
                 source.occupancy for source in self.inputs)),
             ("inflight_words", lambda now: sum(
-                len(pipe) for pipe in self._pipes)),
+                pipe.occupancy for pipe in self._pipes)),
         )

@@ -31,6 +31,7 @@ from repro.core.combining_store import CombiningTable
 from repro.memory.request import MemoryResponse
 from repro.network.crossbar import HOP_LATENCY, Crossbar
 from repro.sim.engine import Component
+from repro.sim.queues import LatencyPipe
 
 #: Per-switch traversal latency in a reduction tree.  Tree switches are
 #: small (radix-degree) and sit closer together than the monolithic
@@ -131,8 +132,8 @@ class Switch(Component):
         port = _OutPort(
             lo, hi,
             table=CombiningTable(self.table_entries),
-            pipe=self._sim_handle.pipe(self.hop_latency,
-                                       name="%s.pipe_%s" % (self.name, label)),
+            pipe=LatencyPipe(self.hop_latency,
+                             name="%s.pipe_%s" % (self.name, label)),
             dest=dest,
             final=final,
         )
@@ -168,7 +169,7 @@ class Switch(Component):
         # 1. Deliver requests that finished traversing a link.
         for port in self._all_ports():
             pipe = port.pipe
-            while pipe.ready():
+            while pipe.ready(now):
                 if not port.dest.can_push():
                     break
                 request = pipe.pop()
@@ -239,7 +240,7 @@ class Switch(Component):
         for port in self._all_ports():
             if port.table:
                 return now + 1
-            if port.pipe.ready():
+            if port.pipe.ready(now):
                 return now + 1  # deliverable (possibly output-blocked)
             head = port.pipe.next_ready()
             if head is not None and (wake is None or head < wake):
@@ -250,9 +251,10 @@ class Switch(Component):
 
     @property
     def busy(self):
-        # Combining tables are component-internal state (unlike the input
-        # FIFOs and pipes, which the simulator tracks itself).
-        return any(port.table for port in self._all_ports())
+        # Combining tables and link pipes are the switch's own state; the
+        # simulator tracks only the input FIFOs.
+        return any(port.table or port.pipe.occupancy
+                   for port in self._all_ports())
 
     def obs_probes(self):
         return (

@@ -9,14 +9,14 @@ reproduction is built on:
 - :class:`~repro.sim.queues.FIFO` -- a bounded queue whose pushes become
   visible one cycle later, giving one-cycle-per-hop pipelining and natural
   back-pressure.
-- :class:`~repro.sim.queues.LatencyPipe` -- a delay line for modelling fixed
-  latencies (DRAM access, functional-unit pipelines).
+- :class:`~repro.sim.queues.LatencyPipe` -- a delay line for fixed-latency
+  network links, owned by the switch that pushes and pops it.
 - :class:`~repro.sim.stats.Stats` -- the run's metric store (counters,
   gauges, histograms).
 
 The engine is intentionally simple: all state changes happen inside
-``tick()``; communication between components only happens through FIFOs and
-pipes owned by the simulator, which synchronises them between cycles.  This
+``tick()``; communication between components only happens through FIFOs
+owned by the simulator, which synchronises them between cycles.  This
 makes every run deterministic and independent of component registration
 order for correctness (ordering only shifts results by bounded, constant
 pipeline skew).

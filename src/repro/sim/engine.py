@@ -1,14 +1,15 @@
 """The event-aware cycle-driven simulation engine.
 
 A :class:`Simulator` owns a set of :class:`Component` instances and the
-:class:`~repro.sim.queues.FIFO`/:class:`~repro.sim.queues.LatencyPipe`
-channels connecting them.  Semantically each simulated cycle:
+:class:`~repro.sim.queues.FIFO` channels connecting them.  Semantically
+each simulated cycle:
 
-1. advances every registered pipe (releasing entries whose latency elapsed),
-2. calls ``tick(cycle)`` on every component in registration order,
-3. syncs every FIFO (committing staged pushes for next-cycle visibility).
+1. calls ``tick(cycle)`` on every component in registration order,
+2. syncs every FIFO (committing staged pushes for next-cycle visibility).
 
-The run terminates when every component reports idle and every channel is
+Fixed delays (DRAM access, FU pipelines, network links) are component
+state, answered from the current cycle; the engine does not see them.
+The run terminates when no component reports busy and every FIFO is
 empty, or when an explicit cycle bound is reached.
 
 Two schedulers implement those semantics:
@@ -113,9 +114,10 @@ class Component:
     """Base class for all simulated hardware blocks.
 
     Subclasses override :meth:`tick` (do one cycle of work) and
-    :attr:`busy` (report whether internal work is pending).  Queue state is
-    tracked separately by the simulator, so ``busy`` only needs to cover
-    state held *inside* the component (e.g. an occupied combining store).
+    :attr:`busy` (report whether internal work is pending).  The simulator
+    tracks its FIFOs itself, so ``busy`` covers all other in-flight state
+    the component holds: an occupied combining store, outstanding DRAM
+    accesses, words in a :class:`~repro.sim.queues.LatencyPipe` link.
 
     ``busy`` must only change inside the component's own :meth:`tick` (or
     between runs); the event scheduler maintains its quiescence count by
@@ -206,11 +208,10 @@ class Simulator:
         self.cycle = 0
         self._components = []
         self._fifos = []
-        self._pipes = []
         self._wake_heap = []  # (cycle, registration order, component)
         self._dirty_fifos = []  # fifos with staged pushes this cycle
         self._busy_count = 0  # components currently reporting busy
-        self._active_channels = 0  # non-idle fifos + pipes
+        self._active_channels = 0  # non-idle fifos
         self._processing_order = -1  # order of the component mid-tick
         #: :mod:`repro.sim.fastforward` only attempts analytic window
         #: collapse when this is set; declined windows step as usual.
@@ -245,26 +246,15 @@ class Simulator:
         self._fifos.append(queue)
         return queue
 
-    def pipe(self, latency, name=""):
-        """Create and register a latency pipe owned by this simulator."""
-        from repro.sim.queues import LatencyPipe
-
-        pipe = LatencyPipe(latency, name=name)
-        pipe._engine = self
-        self._pipes.append(pipe)
-        return pipe
-
     # ------------------------------------------------------------------ #
     # quiescence
     # ------------------------------------------------------------------ #
     @property
     def quiescent(self):
-        """True when no component or channel holds pending work."""
+        """True when no component or FIFO holds pending work."""
         if any(component.busy for component in self._components):
             return False
-        if any(not queue.idle for queue in self._fifos):
-            return False
-        return all(pipe.idle for pipe in self._pipes)
+        return all(queue.idle for queue in self._fifos)
 
     # ------------------------------------------------------------------ #
     # wake/sleep bookkeeping (event scheduler)
@@ -316,19 +306,6 @@ class Simulator:
             for writer in fifo._writers:
                 self._wake(writer, now if writer._order > order else now + 1)
 
-    def _pipe_pushed(self, pipe, was_idle, ready_cycle):
-        if was_idle:
-            self._active_channels += 1
-        wake_cycle = self.cycle + 1
-        if ready_cycle > wake_cycle:
-            wake_cycle = ready_cycle
-        for reader in pipe._readers:
-            self._wake(reader, wake_cycle)
-
-    def _pipe_popped(self, pipe, idle_now):
-        if idle_now:
-            self._active_channels -= 1
-
     def _arm(self):
         """Reset the scheduler state to match the world as it is now.
 
@@ -347,8 +324,7 @@ class Simulator:
                 busy += 1
         self._busy_count = busy
         self._active_channels = sum(
-            1 for queue in self._fifos if not queue.idle
-        ) + sum(1 for pipe in self._pipes if not pipe.idle)
+            1 for queue in self._fifos if not queue.idle)
         now = self.cycle
         for component in self._components:
             component._wake_sched = None
@@ -361,8 +337,6 @@ class Simulator:
     def step_all(self):
         """Advance exactly one cycle, ticking every component (legacy)."""
         now = self.cycle
-        for pipe in self._pipes:
-            pipe.advance(now)
         for component in self._components:
             component.tick(now)
         for queue in self._fifos:
@@ -379,8 +353,6 @@ class Simulator:
     def _step_event(self):
         """Execute one cycle, ticking only components scheduled for it."""
         now = self.cycle
-        for pipe in self._pipes:
-            pipe.advance(now)
         heap = self._wake_heap
         ticked = 0
         while heap and heap[0][0] == now:
@@ -480,9 +452,8 @@ class Simulator:
         """The error for a run that hit ``max_cycles``, naming what is stuck."""
         busy = [component.name for component in self._components
                 if component.busy]
-        channels = ["%s (%d)" % (channel.name, channel.occupancy)
-                    for channel in self._fifos + self._pipes
-                    if not channel.idle]
+        channels = ["%s (%d)" % (queue.name, queue.occupancy)
+                    for queue in self._fifos if not queue.idle]
         return SimulationError(
             "simulation exceeded max_cycles=%d without quiescing; "
             "likely a back-pressure deadlock or unbounded request source; "

@@ -1,4 +1,4 @@
-"""Bounded queues and delay lines used for all inter-component communication.
+"""The engine's channel (:class:`FIFO`) and a component-owned delay line.
 
 Two-phase semantics: values pushed into a :class:`FIFO` during cycle *t* are
 not visible to ``pop``/``peek`` until cycle *t+1*.  The owning
@@ -7,11 +7,14 @@ to commit staged pushes.  This decouples component evaluation order from
 simulation results and models single-cycle hop latency between pipeline
 stages.
 
-Channels created by a simulator (``Simulator.fifo`` and ``pipe``) also
-feed its event scheduler: a push wakes the channel's registered readers, a
-pop of a full FIFO wakes its registered writers, and idle transitions
-maintain the O(1) quiescence count.  Standalone channels (``_engine is
-None``) skip all of that.
+FIFOs created by a simulator (``Simulator.fifo``) also feed its event
+scheduler: a push wakes the FIFO's registered readers, a pop of a full FIFO
+wakes its registered writers, and idle transitions maintain the O(1)
+quiescence count.  Standalone FIFOs (``_engine is None``) skip all of that.
+
+A :class:`LatencyPipe` is not a channel of the engine: the component that
+pushes and pops it keeps it as internal state, answers from ``now``, and
+covers it in ``busy``.
 """
 
 from collections import deque
@@ -119,72 +122,49 @@ class FIFO:
 
 
 class LatencyPipe:
-    """A delay line: entries become available `latency` cycles after push.
+    """A delay line: an entry pushed at cycle *t* pops from *t + latency* on.
 
-    Models fixed-latency paths such as DRAM access latency or a pipelined
-    functional unit.  The pipe is fully pipelined: any number of entries
-    may be pushed per cycle and be in flight at once.
-
-    The owning simulator must call :meth:`advance` with the current cycle
-    once per cycle (the simulator does this automatically for registered
-    pipes) before components pop from it.
+    Models a fixed-latency network link.  The component that pushes and
+    pops a pipe owns it: it tests :meth:`ready` before popping and reports
+    the pipe's :attr:`occupancy` in its ``busy``, as it does for any other
+    in-flight state.  The pipe is fully pipelined: any number of entries
+    may be pushed per cycle and be in flight at once.  A latency of at
+    least one cycle keeps an entry pushed during a tick out of reach of
+    that same tick.
     """
 
     def __init__(self, latency, name=""):
-        if latency < 0:
-            raise ValueError("latency must be >= 0, got %r" % (latency,))
+        if latency < 1:
+            raise ValueError("latency must be >= 1, got %r" % (latency,))
         self.latency = latency
         self.name = name
-        self._in_flight = deque()  # (ready_cycle, item)
-        self._ready = deque()
-        self._engine = None
-        self._readers = []
-        self._writers = []
+        self._in_flight = deque()  # (ready_cycle, item), in push order
 
     def push(self, item, now):
         """Insert `item`, to become ready at cycle ``now + latency``."""
-        was_idle = not self._in_flight and not self._ready
-        ready_cycle = now + self.latency
-        self._in_flight.append((ready_cycle, item))
-        if self._engine is not None:
-            self._engine._pipe_pushed(self, was_idle, ready_cycle)
+        self._in_flight.append((now + self.latency, item))
 
-    def advance(self, now):
-        """Move entries whose delay elapsed into the ready queue."""
-        while self._in_flight and self._in_flight[0][0] <= now:
-            self._ready.append(self._in_flight.popleft()[1])
-
-    def ready(self):
-        """True if an entry is available to pop this cycle."""
-        return bool(self._ready)
+    def ready(self, now):
+        """True if the oldest entry may be popped at cycle `now`."""
+        in_flight = self._in_flight
+        return bool(in_flight) and in_flight[0][0] <= now
 
     def next_ready(self):
-        """Ready cycle of the oldest in-flight entry, or ``None`` if none."""
+        """Ready cycle of the oldest entry, or ``None`` when empty."""
         return self._in_flight[0][0] if self._in_flight else None
 
     def pop(self):
-        if not self._ready:
+        """Remove and return the oldest entry (test :meth:`ready` first)."""
+        if not self._in_flight:
             raise IndexError("pop from empty pipe %r" % (self.name,))
-        item = self._ready.popleft()
-        if self._engine is not None:
-            self._engine._pipe_popped(
-                self, not self._in_flight and not self._ready
-            )
-        return item
+        return self._in_flight.popleft()[1]
 
     @property
     def occupancy(self):
         """Entries in the pipe, whether still delayed or ready to pop."""
-        return len(self._in_flight) + len(self._ready)
-
-    @property
-    def idle(self):
-        return not self._in_flight and not self._ready
+        return len(self._in_flight)
 
     def __repr__(self):
-        return "LatencyPipe(%r, latency=%d, %d in flight, %d ready)" % (
-            self.name,
-            self.latency,
-            len(self._in_flight),
-            len(self._ready),
+        return "LatencyPipe(%r, latency=%d, %d in flight)" % (
+            self.name, self.latency, len(self._in_flight),
         )

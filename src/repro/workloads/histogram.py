@@ -14,6 +14,7 @@ from repro.node.processor import StreamProcessor
 from repro.node.program import Bulk, Kernel, Phase, ScatterAdd, StreamProgram
 from repro.software.privatization import PrivatizationScatterAdd
 from repro.software.sortscan import SortScanScatterAdd
+from repro.workloads.result import WorkloadResult
 
 #: FP/integer ops per element for the bin-mapping kernel.
 MAP_OPS_PER_ELEM = 2
@@ -25,26 +26,6 @@ def generate_dataset(length, index_range, seed=0):
         raise ValueError("index_range must be >= 1")
     rng = np.random.default_rng(seed)
     return rng.integers(0, index_range, size=length, dtype=np.int64)
-
-
-class HistogramResult:
-    """Timing and output of one histogram run."""
-
-    def __init__(self, config, method, cycles, bins, stats):
-        self.config = config
-        self.method = method
-        self.cycles = cycles
-        self.bins = bins
-        self.stats = stats
-
-    @property
-    def microseconds(self):
-        return self.config.cycles_to_us(self.cycles)
-
-    def __repr__(self):
-        return "HistogramResult(%s, %d cycles, %.2f us)" % (
-            self.method, self.cycles, self.microseconds,
-        )
 
 
 class HistogramWorkload:
@@ -79,16 +60,16 @@ class HistogramWorkload:
         )
         result = processor.run(program)
         bins = processor.read_result(0, self.index_range)
-        return HistogramResult(config, "hardware", result.cycles, bins,
-                               processor.stats)
+        return WorkloadResult(config, "hardware", result.cycles, bins,
+                              processor.stats)
 
     def _run_software(self, config, engine, method):
         prefix_proc = StreamProcessor(config)
         prefix = prefix_proc.run(StreamProgram(self._prefix_phases()))
         run = engine.run(self.data, 1.0, num_targets=self.index_range)
         stats = prefix_proc.stats.merge(run.stats)
-        return HistogramResult(config, method, prefix.cycles + run.cycles,
-                               run.result, stats)
+        return WorkloadResult(config, method, prefix.cycles + run.cycles,
+                              run.result, stats)
 
     def run_sortscan(self, config, batch=256):
         """Software sort + segmented-scan implementation."""

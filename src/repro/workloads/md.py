@@ -32,6 +32,7 @@ from repro.node.program import (
     StreamProgram,
 )
 from repro.software.sortscan import SortScanScatterAdd
+from repro.workloads.result import WorkloadResult
 
 #: Liquid water molecule density, nm^-3.
 WATER_DENSITY = 33.4
@@ -169,30 +170,6 @@ def water_forces(box, pairs):
     return forces
 
 
-class MDResult:
-    """Cycles, op counts and the force array of one MD kernel variant."""
-
-    def __init__(self, config, method, cycles, forces, stats):
-        self.config = config
-        self.method = method
-        self.cycles = cycles
-        self.forces = forces
-        self.stats = stats
-
-    @property
-    def fp_ops(self):
-        return int(self.stats.get("cluster.fp_ops") + self.stats.get("fu.sums"))
-
-    @property
-    def mem_refs(self):
-        return int(self.stats.get("memsys.refs"))
-
-    def __repr__(self):
-        return "MDResult(%s, %d cycles, %d fp_ops, %d mem_refs)" % (
-            self.method, self.cycles, self.fp_ops, self.mem_refs,
-        )
-
-
 class MDWorkload:
     """One time step of the non-bonded water force kernel."""
 
@@ -262,8 +239,8 @@ class MDWorkload:
         ], name="md_hw")
         result = processor.run(program)
         forces = processor.read_result(0, self.atoms * 3)
-        return MDResult(config, "hardware", result.cycles, forces,
-                        processor.stats)
+        return WorkloadResult(config, "hardware", result.cycles, forces,
+                              processor.stats)
 
     def run_duplicated(self, config):
         """The no-scatter-add workaround: compute every pair twice."""
@@ -273,8 +250,8 @@ class MDWorkload:
             Phase([Bulk("force_out", self.atoms * 3)]),
         ], name="md_noscatter")
         result = processor.run(program)
-        return MDResult(config, "no_scatter_add", result.cycles,
-                        self.reference(), processor.stats)
+        return WorkloadResult(config, "no_scatter_add", result.cycles,
+                              self.reference(), processor.stats)
 
     def run_software(self, config, batch=256):
         """Single evaluation per pair; partner forces via sort&scan."""
@@ -290,5 +267,5 @@ class MDWorkload:
         run = software.run(indices, values, num_targets=self.atoms * 3,
                            initial=processor.read_result(0, self.atoms * 3))
         stats = processor.stats.merge(run.stats)
-        return MDResult(config, "software", compute.cycles + run.cycles,
-                        run.result, stats)
+        return WorkloadResult(config, "software", compute.cycles + run.cycles,
+                              run.result, stats)

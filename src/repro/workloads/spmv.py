@@ -29,6 +29,7 @@ from repro.node.program import (
 )
 from repro.software.sortscan import SortScanScatterAdd
 from repro.workloads.fem import build_tet_mesh
+from repro.workloads.result import WorkloadResult
 
 #: Achieved FLOP efficiency of the CSR dot-product kernel (indexed
 #: accumulate, short rows).
@@ -44,30 +45,6 @@ EBE_EFFICIENCY = 0.4
 
 #: Word address where the source vector x lives (clear of the y region).
 X_BASE = 1 << 22
-
-
-class SpMVResult:
-    """Cycles, op counts and the produced vector for one SpMV variant."""
-
-    def __init__(self, config, method, cycles, y, stats):
-        self.config = config
-        self.method = method
-        self.cycles = cycles
-        self.y = y
-        self.stats = stats
-
-    @property
-    def fp_ops(self):
-        return int(self.stats.get("cluster.fp_ops") + self.stats.get("fu.sums"))
-
-    @property
-    def mem_refs(self):
-        return int(self.stats.get("memsys.refs"))
-
-    def __repr__(self):
-        return "SpMVResult(%s, %d cycles, %d fp_ops, %d mem_refs)" % (
-            self.method, self.cycles, self.fp_ops, self.mem_refs,
-        )
 
 
 class SpMVWorkload:
@@ -133,8 +110,8 @@ class SpMVWorkload:
             Phase([Bulk("y_out", self.rows)]),
         ], name="spmv_csr")
         result = processor.run(program)
-        return SpMVResult(config, "csr", result.cycles, self.reference(),
-                          processor.stats)
+        return WorkloadResult(config, "csr", result.cycles, self.reference(),
+                              processor.stats)
 
     def run_ebe_hardware(self, config):
         """Element-by-element multiply with hardware scatter-add."""
@@ -149,8 +126,8 @@ class SpMVWorkload:
         program = StreamProgram([compute], name="spmv_ebe_hw")
         result = processor.run(program)
         y = processor.read_result(0, self.rows)
-        return SpMVResult(config, "ebe_hw", result.cycles, y,
-                          processor.stats)
+        return WorkloadResult(config, "ebe_hw", result.cycles, y,
+                              processor.stats)
 
     def run_ebe_software(self, config, batch=256):
         """Element-by-element multiply with sort&scan software scatter-add."""
@@ -162,5 +139,5 @@ class SpMVWorkload:
         software = SortScanScatterAdd(config, batch=batch)
         run = software.run(indices, values, num_targets=self.rows)
         stats = processor.stats.merge(run.stats)
-        return SpMVResult(config, "ebe_sw", compute.cycles + run.cycles,
-                          run.result, stats)
+        return WorkloadResult(config, "ebe_sw", compute.cycles + run.cycles,
+                              run.result, stats)

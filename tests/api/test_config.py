@@ -98,7 +98,7 @@ class TestPresets:
 
 
 class TestSerialization:
-    """to_dict / from_dict / canonical_hash."""
+    """to_dict / from_dict."""
 
     def test_to_dict_covers_every_field_sorted(self):
         config = MachineConfig.table1()
@@ -135,21 +135,15 @@ class TestSerialization:
         with pytest.raises(ValueError):
             MachineConfig.from_dict({"fu_latency": 0})
 
-    def test_canonical_hash_is_stable_and_semantic(self):
-        base = MachineConfig.table1()
-        assert base.canonical_hash() == MachineConfig.table1().canonical_hash()
-        assert len(base.canonical_hash()) == 64
-        changed = base.with_changes(fu_latency=8)
-        assert changed.canonical_hash() != base.canonical_hash()
-
     def test_hash_ignores_construction_spelling(self):
+        # Frozen configs are hashable: every spelling is one set member.
         via_kwargs = MachineConfig(memory_model="uniform",
                                    uniform_latency=100)
         via_dict = MachineConfig.from_dict(via_kwargs.to_dict())
         via_changes = MachineConfig.uniform().with_changes(
             uniform_latency=100)
-        assert via_kwargs.canonical_hash() == via_dict.canonical_hash()
-        assert via_kwargs.canonical_hash() == via_changes.canonical_hash()
+        assert via_kwargs == via_dict == via_changes
+        assert len({via_kwargs, via_dict, via_changes}) == 1
 
 
 class TestNetworkConfig:
@@ -216,10 +210,10 @@ class TestNetworkConfig:
         configs = [MachineConfig(), MachineConfig(network=NetworkConfig()),
                    MachineConfig(network={}), MachineConfig.from_dict({})]
         assert all(config == configs[0] for config in configs)
-        assert len({config.canonical_hash() for config in configs}) == 1
+        assert len(set(configs)) == 1
         structured = MachineConfig(
             network=NetworkConfig(nodes=4, link_bw_words=1))
-        assert structured.canonical_hash() != configs[0].canonical_hash()
+        assert structured != configs[0]
 
     def test_round_trip_with_network(self):
         config = MachineConfig(
@@ -228,4 +222,3 @@ class TestNetworkConfig:
                                   combine_site="network"))
         rebuilt = MachineConfig.from_dict(config.to_dict())
         assert rebuilt == config
-        assert rebuilt.canonical_hash() == config.canonical_hash()

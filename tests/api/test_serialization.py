@@ -3,7 +3,7 @@
 Pins the serialization contracts: a serialized
 :class:`ScatterRun` round-trips exactly, reloaded and live runs emit
 byte-identical ``metrics.json``, and :class:`Simulation` accepts plain
-dict configs and describes itself canonically.
+dict configs.
 """
 
 import json
@@ -170,23 +170,3 @@ class TestSimulationConfigForms:
     def test_bad_dict_config_rejected(self):
         with pytest.raises(ValueError, match="unknown"):
             Simulation({"no_such_field": 1})
-
-    def test_describe_is_canonical(self):
-        from repro.sim import engine as _engine
-
-        config = MachineConfig.uniform()
-        described = Simulation(config, sample_every=8).describe()
-        assert described["config"] == config.to_dict()
-        assert described["config_hash"] == config.canonical_hash()
-        assert described["chaining"] is True
-        assert described["engine"] == _engine.DEFAULT_SCHEDULER
-        assert described["sample_every"] == 8
-        assert described["trace_requests"] == 0
-        json.dumps(described)  # plain JSON, no numpy or dataclasses
-
-    def test_describe_resolves_engine_override(self):
-        from repro.sim import engine as _engine
-
-        with _engine.use_scheduler("legacy"):
-            assert Simulation().describe()["engine"] == "legacy"
-            assert Simulation(engine="event").describe()["engine"] == "event"

@@ -5,7 +5,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.config import MachineConfig
-from repro.core.scan import blocked_prefix_sum, fetch_add_prefix_sum
+from repro.core.scan import (
+    ScanResult,
+    blocked_prefix_sum,
+    fetch_add_prefix_sum,
+)
+from repro.sim.stats import Stats
 
 
 def exclusive_reference(values):
@@ -24,6 +29,11 @@ class TestFetchAddScan:
     def test_inclusive_view(self, table1):
         values = np.array([1.0, 2.0, 3.0])
         scan = fetch_add_prefix_sum(values, table1)
+        assert list(scan.inclusive) == [1.0, 3.0, 6.0]
+
+    def test_inclusive_view_of_directly_built_result(self, table1):
+        scan = ScanResult(table1, [1, 2, 3], np.array([0.0, 1.0, 3.0]),
+                          6.0, 0, Stats())
         assert list(scan.inclusive) == [1.0, 3.0, 6.0]
 
     def test_serialises_at_fu_latency(self, table1):

@@ -1,8 +1,11 @@
 """Tests for the input-queued crossbar."""
 
+import pytest
+
 from repro.memory.request import OP_WRITE, MemoryRequest
 from repro.network.crossbar import HOP_LATENCY, Crossbar
-from repro.sim.engine import Simulator
+from repro.sim.engine import Simulator, use_scheduler
+from repro.sim.queues import FIFO
 from repro.sim.stats import Stats
 
 
@@ -74,3 +77,20 @@ class TestCrossbar:
         crossbar.inputs[0].push(MemoryRequest(OP_WRITE, 20, 0.0))
         sim.run_cycles(HOP_LATENCY + 4)
         assert stats.get("xbar.words") == 1
+
+    @pytest.mark.parametrize("scheduler", ["event", "legacy"])
+    def test_run_waits_for_word_in_link(self, scheduler):
+        # The link pipes are the crossbar's own state: with the only
+        # pending word in flight, ``busy`` must hold the run open.
+        with use_scheduler(scheduler):
+            sim, crossbar, __, __ = make_crossbar()
+        # An unregistered output: the engine cannot see the delivery.
+        sink = FIFO(name="sink")
+        crossbar.outputs[1] = sink
+        crossbar.inputs[0].push(MemoryRequest(OP_WRITE, 20, 0.0))
+        sim.run_cycles(2)  # commit, then inject into the link
+        assert all(port.idle for port in crossbar.inputs)
+        assert crossbar.busy and sink.occupancy == 0
+        assert sim.run() == 1 + HOP_LATENCY + 1
+        assert sink.occupancy == 1
+        assert not crossbar.busy

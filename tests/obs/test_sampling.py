@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.api import Simulation
+from repro.config import MachineConfig, NetworkConfig
 from repro.obs.sampling import TimelineSampler, gather_probes
 from repro.sim.engine import Component, Simulator
 
@@ -96,6 +97,19 @@ class TestSamplerNeutrality:
             # flush sample capturing the run's last partial window.
             assert all(cycle % 32 == 0 for cycle in timeline.cycles[:-1])
             assert timeline.cycles == sorted(set(timeline.cycles))
+
+    def test_crossbar_run_samples_link_occupancy(self):
+        config = MachineConfig(network=NetworkConfig(nodes=2))
+        run = Simulation(config, sample_every=16).run(
+            "scatter_add", [i % 64 for i in range(300)], 1.0,
+            num_targets=64)
+        timelines = {timeline.name: timeline
+                     for scope in run.observation.scopes
+                     for timeline in scope.timelines}
+        inflight = timelines["xbar.inflight_words"]
+        assert inflight.cycles[0] == 0
+        assert max(inflight.values) > 0
+        assert inflight.values[-1] == 0
 
     def test_final_partial_window_is_flushed(self, rng):
         indices = rng.integers(0, 64, size=400)

@@ -34,7 +34,7 @@ class TestRoundTrip:
         assert entry["schema"] == RUN_SCHEMA
         assert entry == run.to_dict()
         config = MachineConfig.from_dict(entry["config"])
-        assert config.canonical_hash() == run.config.canonical_hash()
+        assert config == run.config
 
     def test_put_is_idempotent_and_leaves_no_temp_files(self, run, path):
         run.save(path)

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.sim.engine import Component, SimulationError, Simulator
+from repro.sim.queues import LatencyPipe
 
 
 class Counter(Component):
@@ -163,27 +164,30 @@ class TestSimulator:
         assert sim.cycle == 13
         assert counter.ticks == 13
 
-    def test_pipes_advanced_automatically(self):
-        sim = Simulator()
-        pipe = sim.pipe(latency=4, name="p")
+    def test_owned_pipe_delivers_after_latency(self):
         outputs = []
 
         class Watcher(Component):
             started = False
 
+            def __init__(self):
+                super().__init__("w")
+                self.pipe = LatencyPipe(latency=4, name="p")
+
             def tick(self, now):
                 if not self.started:
-                    pipe.push("v", now)
+                    self.pipe.push("v", now)
                     self.started = True
-                while pipe.ready():
-                    outputs.append((now, pipe.pop()))
+                while self.pipe.ready(now):
+                    outputs.append((now, self.pipe.pop()))
 
             @property
             def busy(self):
-                return not self.started
+                return not self.started or bool(self.pipe.occupancy)
 
-        sim.register(Watcher("w"))
-        sim.run()
+        sim = Simulator()
+        sim.register(Watcher())
+        assert sim.run() == 5
         assert outputs == [(4, "v")]
 
     def test_component_default_tick_raises(self):

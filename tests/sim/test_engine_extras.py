@@ -3,36 +3,40 @@
 import pytest
 
 from repro.sim.engine import Component, Simulator
-from repro.sim.queues import FIFO
+from repro.sim.queues import FIFO, LatencyPipe
 
 
 class Mover(Component):
-    """Moves items from a simulator-owned FIFO through an owned pipe."""
+    """Moves items from a simulator-owned FIFO through its own pipe."""
 
-    def __init__(self, queue, pipe):
+    def __init__(self, queue, latency):
         super().__init__("mover")
         self.queue = queue
-        self.pipe = pipe
+        self.pipe = LatencyPipe(latency, name="mover.pipe")
         self.done = []
 
     def tick(self, now):
-        while self.pipe.ready():
+        while self.pipe.ready(now):
             self.done.append((now, self.pipe.pop()))
         while len(self.queue):
             self.pipe.push(self.queue.pop(), now)
+
+    @property
+    def busy(self):
+        return bool(self.pipe.occupancy)
 
 
 class TestAdoptedChannels:
     def test_adopted_fifo_synced_and_counted_for_quiescence(self):
         sim = Simulator()
         queue = sim.fifo(name="owned")
-        pipe = sim.pipe(3, name="owned_pipe")
-        mover = sim.register(Mover(queue, pipe))
+        mover = sim.register(Mover(queue, 3))
         queue.push("a")
         queue.push("b")
         end = sim.run()
-        assert [item for __, item in mover.done] == ["a", "b"]
-        assert end >= 4  # 1 cycle visibility + 3 latency
+        # 1 cycle visibility + 3 latency; the pipe holds the run open.
+        assert mover.done == [(4, "a"), (4, "b")]
+        assert end == 5
 
     def test_unadopted_fifo_invisible_to_quiescence(self):
         sim = Simulator()

@@ -85,27 +85,24 @@ class TestLatencyPipe:
         pipe = LatencyPipe(latency=3)
         pipe.push("x", now=0)
         for now in range(3):
-            pipe.advance(now)
-            assert not pipe.ready()
-        pipe.advance(3)
-        assert pipe.ready()
+            assert not pipe.ready(now)
+        assert pipe.ready(3)
         assert pipe.pop() == "x"
 
-    def test_zero_latency_ready_same_cycle(self):
-        pipe = LatencyPipe(latency=0)
-        pipe.push("x", now=5)
-        pipe.advance(5)
-        assert pipe.ready()
+    def test_zero_latency_rejected(self):
+        # An entry pushed during a tick must stay out of reach of that tick.
+        with pytest.raises(ValueError):
+            LatencyPipe(latency=0)
 
     def test_pipelined_entries_in_order(self):
         pipe = LatencyPipe(latency=2)
-        pipe.advance(0)
         pipe.push("a", now=0)
-        pipe.advance(1)
         pipe.push("b", now=1)
-        pipe.advance(2)
+        assert pipe.next_ready() == 2
+        assert pipe.ready(2)
         assert pipe.pop() == "a"
-        pipe.advance(3)
+        assert not pipe.ready(2)
+        assert pipe.ready(3)
         assert pipe.pop() == "b"
 
     def test_negative_latency_rejected(self):
@@ -114,12 +111,15 @@ class TestLatencyPipe:
 
     def test_idle(self):
         pipe = LatencyPipe(latency=1)
-        assert pipe.idle
+        assert pipe.occupancy == 0
+        assert pipe.next_ready() is None
         pipe.push("a", now=0)
-        assert not pipe.idle
-        pipe.advance(1)
+        assert pipe.occupancy == 1
+        assert pipe.ready(1)
         pipe.pop()
-        assert pipe.idle
+        assert pipe.occupancy == 0
+        with pytest.raises(IndexError):
+            pipe.pop()
 
 
 class TestEngineHooks:
@@ -189,34 +189,9 @@ class TestEngineHooks:
         assert queue.drain() == [0, 1, 2]
         assert sim._active_channels == 0
 
-    def test_pipe_push_wakes_reader_at_ready_cycle(self):
-        from repro.sim.engine import Component, Simulator
-
-        sim = Simulator(scheduler="event")
-        pipe = sim.pipe(5, name="p")
-        reader = sim.register(Component("reader"))
-        reader.watch(pipe)
-        reader._wake_sched = None
-        pipe.push("x", now=0)
-        assert reader._wake_sched == 5
-
-    def test_pipe_idle_transitions_tracked(self):
-        sim = self._sim()
-        pipe = sim.pipe(2, name="p")
-        assert sim._active_channels == 0
-        pipe.push("x", now=0)
-        assert sim._active_channels == 1
-        pipe.advance(2)
-        pipe.pop()
-        assert sim._active_channels == 0
-
     def test_standalone_channels_skip_engine_hooks(self):
-        # Channels never registered with a simulator must work unchanged.
+        # FIFOs never registered with a simulator must work unchanged.
         queue = FIFO(capacity=1)
         queue.push("a")
         queue.sync()
         assert queue.pop() == "a"
-        pipe = LatencyPipe(latency=0)
-        pipe.push("a", now=0)
-        pipe.advance(0)
-        assert pipe.pop() == "a"

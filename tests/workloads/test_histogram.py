@@ -36,15 +36,15 @@ class TestHistogramWorkload:
 
     def test_hardware_matches_reference(self, workload, table1):
         result = workload.run_hardware(table1)
-        assert np.array_equal(result.bins, workload.reference())
+        assert np.array_equal(result.result, workload.reference())
 
     def test_sortscan_matches_reference(self, workload, table1):
         result = workload.run_sortscan(table1)
-        assert np.array_equal(result.bins, workload.reference())
+        assert np.array_equal(result.result, workload.reference())
 
     def test_privatization_matches_reference(self, workload, table1):
         result = workload.run_privatization(table1)
-        assert np.array_equal(result.bins, workload.reference())
+        assert np.array_equal(result.result, workload.reference())
 
     def test_hardware_faster_than_software(self, table1):
         workload = HistogramWorkload(4096, 2048, seed=0)
@@ -56,7 +56,7 @@ class TestHistogramWorkload:
 
     def test_chaining_ablation_still_correct(self, workload, table1):
         result = workload.run_hardware(table1, chaining=False)
-        assert np.array_equal(result.bins, workload.reference())
+        assert np.array_equal(result.result, workload.reference())
 
     def test_microseconds_property(self, workload, table1):
         result = workload.run_hardware(table1)

@@ -91,15 +91,15 @@ class TestForces:
 class TestMDVariants:
     def test_hardware_matches_reference(self, small_md, table1):
         result = small_md.run_hardware(table1)
-        assert np.allclose(result.forces, small_md.reference(), atol=1e-9)
+        assert np.allclose(result.result, small_md.reference(), atol=1e-9)
 
     def test_duplicated_matches_reference(self, small_md, table1):
         result = small_md.run_duplicated(table1)
-        assert np.allclose(result.forces, small_md.reference(), atol=1e-9)
+        assert np.allclose(result.result, small_md.reference(), atol=1e-9)
 
     def test_software_matches_reference(self, small_md, table1):
         result = small_md.run_software(table1)
-        assert np.allclose(result.forces, small_md.reference(), atol=1e-9)
+        assert np.allclose(result.result, small_md.reference(), atol=1e-9)
 
     def test_duplication_costs_more_flops(self, small_md, table1):
         hardware = small_md.run_hardware(table1)

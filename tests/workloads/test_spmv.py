@@ -31,17 +31,17 @@ class TestSpMV:
 
     def test_csr_run(self, workload, table1):
         result = workload.run_csr(table1)
-        assert np.allclose(result.y, workload.reference())
+        assert np.allclose(result.result, workload.reference())
         assert result.cycles > 0
         assert result.mem_refs >= 3 * workload.nnz
 
     def test_ebe_hardware_exact(self, workload, table1):
         result = workload.run_ebe_hardware(table1)
-        assert np.allclose(result.y, workload.reference())
+        assert np.allclose(result.result, workload.reference())
 
     def test_ebe_software_exact(self, workload, table1):
         result = workload.run_ebe_software(table1)
-        assert np.allclose(result.y, workload.reference())
+        assert np.allclose(result.result, workload.reference())
 
     def test_ebe_fp_ops_exceed_csr(self, workload, table1):
         # The EBE trade: more compute...
