@@ -1,61 +1,41 @@
 #!/usr/bin/env python
-"""A guided tour of the scatter-add unit, event by event.
+"""A guided tour of the scatter-add unit, request by request.
 
-Attaches a trace log to one scatter-add unit and pushes a tiny,
-hand-picked update stream through it, then prints the unit's internal
-events -- activations (CAM miss, memory read issued), combines (CAM hit,
-no memory access) and completed sums -- so the Figure 5 flow can be read
-off a real run.  Finishes with the combining statistics that explain the
-memory-traffic reduction.
+Pushes a tiny, hand-picked update stream through the cache-less machine
+(one scatter-add unit in front of uniform memory) with every request
+traced, then prints each request's spans -- the stages it waited in or
+was served by, cycle by cycle -- so the Figure 5 flow can be read off a
+real run:
+
+- an update that *activates* its address (CAM miss) reads memory: its
+  trace carries ``dram.queue`` / ``dram.burst`` legs;
+- an update that *combines* (CAM hit) never touches memory: it leaves
+  ``sau.queue`` straight into ``store.wait`` until the running sum
+  reaches it;
+- every update ends in one ``fu`` leg, the addition that retires it.
+
+Finishes with the combining statistics that explain the memory-traffic
+reduction.
 
 Run:  python examples/microarchitecture_tour.py
 """
 
+import numpy as np
+
+from repro.api import Simulation
 from repro.config import MachineConfig
-from repro.core.unit import ScatterAddUnit
-from repro.memory.backing import MainMemory
-from repro.memory.dram import UniformMemory
-from repro.memory.request import OP_SCATTER_ADD, MemoryRequest
-from repro.sim.engine import Component, Simulator
-from repro.sim.stats import Stats
-from repro.sim.trace import TraceLog
-
-
-class Script(Component):
-    """Feeds a fixed request sequence, one per cycle."""
-
-    def __init__(self, target, requests):
-        super().__init__("script")
-        self.target = target
-        self.pending = list(reversed(requests))
-
-    def tick(self, now):
-        if self.pending and self.target.can_push():
-            self.target.push(self.pending.pop())
-
-    @property
-    def busy(self):
-        return bool(self.pending)
 
 
 def main():
     config = MachineConfig.uniform(latency=12, interval=2)
-    sim = Simulator()
-    stats = Stats()
-    memory = MainMemory()
-    memory.write_word(7, 100.0)  # pre-existing value at address 7
-    endpoint = UniformMemory(sim, config, memory, stats)
-    trace = TraceLog(enabled=True)
-    unit = sim.register(ScatterAddUnit(sim, config, stats,
-                                       endpoint.req_in, trace=trace))
+    initial = np.zeros(10)
+    initial[7] = 100.0  # pre-existing value at address 7
 
     # Three updates to address 7 (they will combine + chain) interleaved
     # with two independent addresses (they pipeline).
     updates = [(7, 1.0), (3, 5.0), (7, 2.0), (9, 4.0), (7, 3.0)]
-    sim.register(Script(unit.req_in, [
-        MemoryRequest(OP_SCATTER_ADD, addr, value)
-        for addr, value in updates
-    ]))
+    indices = [addr for addr, __ in updates]
+    values = [value for __, value in updates]
 
     print("Machine: single scatter-add unit, %d-entry combining store, "
           "%d-cycle adder,\nuniform memory (latency %d, 1 word / %d "
@@ -64,23 +44,35 @@ def main():
              config.uniform_latency, config.uniform_interval))
     print("update stream: %s\n" % (updates,))
 
-    cycles = sim.run()
-    print("unit event trace (cycle, event, fields):")
-    print(trace.render())
+    run = Simulation(config, trace_requests=1).run(
+        "scatter_add", indices, values, num_targets=10, initial=initial)
+    tracer = run.observation.scopes[0].request_tracer
 
+    print("request spans (stage@component, start..end cycle):")
+    for trace in sorted(tracer.traces, key=lambda trace: trace.rid):
+        memory = any(span.stage.startswith("dram.") for span in trace.spans)
+        print("  request %d: a[%d] += %g  (%s)" % (
+            trace.rid, trace.addr, values[trace.rid],
+            "activates: reads memory" if memory
+            else "combines: no memory access"))
+        for span in trace.spans:
+            print("    %-12s %-16s %3d..%3d" % (
+                span.stage, span.component, span.start, span.end))
+
+    result = run.result
     print("\nfinal memory: a[7]=%g a[3]=%g a[9]=%g   (%d cycles total)"
-          % (memory.read_word(7), memory.read_word(3),
-             memory.read_word(9), cycles))
-    assert memory.read_word(7) == 106.0
-    assert memory.read_word(3) == 5.0
-    assert memory.read_word(9) == 4.0
+          % (result[7], result[3], result[9], run.cycles))
+    assert result[7] == 106.0
+    assert result[3] == 5.0
+    assert result[9] == 4.0
 
+    stats = run.stats
     print("\nwhy it was fast:")
     print("  memory reads issued : %d  (one per *address*, not per "
-          "update)" % stats.get("mem.reads"))
-    print("  memory writes issued: %d" % stats.get("mem.writes"))
+          "update)" % stats.get("memsys.mem.reads"))
+    print("  memory writes issued: %d" % stats.get("memsys.mem.writes"))
     print("  sums combined/chained in the store: %d"
-          % stats.get(unit.name + ".chained"))
+          % stats.get("memsys.sau0.chained"))
     print("\nFive atomic updates cost three read-modify-writes' worth of "
           "memory traffic;\nthe combining store absorbed the rest -- the "
           "mechanism behind Figure 12's\nnarrow-range results.")

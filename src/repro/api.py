@@ -11,7 +11,7 @@ Two layers:
   cycle-approximate hardware model once, then :meth:`Simulation.run`
   executes any supported scatter operation and returns a
   :class:`ScatterRun` -- result array, timing, statistics, and (when
-  requested) an observation with timelines and an event trace ready for
+  requested) an observation with timelines and request spans ready for
   the :mod:`repro.obs` exporters.  A multi-node configuration returns
   the :class:`~repro.multinode.system.MultiNodeRun` subclass.
 
@@ -29,6 +29,7 @@ reloads with byte-identical metrics, and :class:`Simulation` accepts a
 plain config dict.
 """
 
+import contextlib
 import json
 
 import numpy as np
@@ -36,7 +37,7 @@ import numpy as np
 from repro.config import MachineConfig
 from repro.node.processor import StreamProcessor
 from repro.node.program import Phase, ScatterAdd, StreamProgram
-from repro.obs.session import Observation
+from repro.obs.session import observe
 from repro.sim.engine import check_scheduler
 from repro.sim.stats import Stats
 
@@ -96,9 +97,9 @@ class ScatterRun:
 
     Carries the produced array, the timing measurement, the metric store
     (:class:`~repro.sim.stats.Stats`), and -- when the :class:`Simulation`
-    was created with ``sample_every`` or ``trace`` -- the
+    was created with ``sample_every`` or ``trace_requests`` -- the
     :class:`~repro.obs.session.Observation` holding per-component timelines
-    and the event trace.
+    and the sampled request spans.
     """
 
     #: Schema tag of the serialized form (:meth:`to_dict`).
@@ -159,13 +160,16 @@ class ScatterRun:
     def write_trace(self, path):
         """Write a chrome://tracing JSON file for this run.
 
-        Requires the run to have been observed with ``trace=True``.
+        Requires an observed run (``Simulation(..., sample_every=N)`` or
+        ``trace_requests=N``): the trace holds its phase spans, counter
+        tracks and request spans.
         """
         from repro.obs.export import write_chrome_trace
 
         if self.observation is None:
             raise ValueError(
-                "run was not traced; use Simulation(..., trace=True)")
+                "run was not observed; use Simulation(..., sample_every=N) "
+                "or Simulation(..., trace_requests=N)")
         return write_chrome_trace(path, self.observation)
 
     def write_metrics(self, path):
@@ -274,13 +278,11 @@ class Simulation:
     sample_every:
         When > 0, sample per-component occupancy/utilisation timelines
         every N cycles into ``run.observation``.
-    trace:
-        When true, collect scatter-add unit events (activate / combine /
-        sum) into ``run.observation`` for Chrome-trace export.
     trace_requests:
         When > 0, stamp one in every N application requests with a
         lifecycle trace (see :mod:`repro.obs.tracing`); the attribution
-        table is available via :meth:`ScatterRun.latency_breakdown`.
+        table is available via :meth:`ScatterRun.latency_breakdown`, and
+        the spans export with :meth:`ScatterRun.write_trace`.
     engine:
         Scheduler backend: ``"event"`` (default: wake/sleep event-driven,
         plus analytic collapse of uniform windows) or ``"legacy"``
@@ -296,7 +298,7 @@ class Simulation:
             "fetch_add")
 
     def __init__(self, config=None, *, chaining=True, sample_every=0,
-                 trace=False, trace_requests=0, engine=None):
+                 trace_requests=0, engine=None):
         if config is None:
             config = MachineConfig.table1()
         elif isinstance(config, dict):
@@ -304,17 +306,19 @@ class Simulation:
         self.config = config
         self.chaining = chaining
         self.sample_every = sample_every
-        self.trace = trace
         self.trace_requests = trace_requests
         if engine is not None:
             check_scheduler(engine)
         self.engine = engine
 
-    def _observation(self):
-        if not (self.sample_every or self.trace or self.trace_requests):
-            return None
-        return Observation(sample_every=self.sample_every, trace=self.trace,
-                           trace_requests=self.trace_requests)
+    def _observe(self):
+        """Context for one machine build: a private observation when this
+        simulation observes (it shadows any ambient one), otherwise a
+        no-op that leaves an ambient session in charge."""
+        if not (self.sample_every or self.trace_requests):
+            return contextlib.nullcontext()
+        return observe(sample_every=self.sample_every,
+                       trace_requests=self.trace_requests)
 
     def run(self, op, indices, values=1.0, *, num_targets=None, initial=None,
             base=0):
@@ -358,9 +362,9 @@ class Simulation:
             return self._run_multinode(op, indices, values,
                                        num_targets=num_targets,
                                        initial=initial, base=base)
-        observation = self._observation()
-        processor = StreamProcessor(self.config, chaining=self.chaining,
-                                    obs=observation, engine=self.engine)
+        with self._observe() as observation:
+            processor = StreamProcessor(self.config, chaining=self.chaining,
+                                        engine=self.engine)
         if initial is not None:
             processor.load_array(base, np.asarray(initial, dtype=np.float64))
         if np.isscalar(values):
@@ -387,11 +391,11 @@ class Simulation:
             raise ValueError(
                 "multi-node simulation supports op 'scatter_add', not %r"
                 % (op,))
-        observation = self._observation()
-        system = MultiNodeSystem(self.config,
-                                 address_space=base + num_targets,
-                                 obs=observation, engine=self.engine,
-                                 chaining=self.chaining)
+        with self._observe():
+            system = MultiNodeSystem(self.config,
+                                     address_space=base + num_targets,
+                                     engine=self.engine,
+                                     chaining=self.chaining)
         if initial is not None:
             system.load_array(base, np.asarray(initial, dtype=np.float64))
         return system.scatter_add(indices, values, num_targets=num_targets,

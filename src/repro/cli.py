@@ -58,13 +58,12 @@ def _observe_if_requested(args):
     from repro.obs import observe
 
     sample_every = getattr(args, "sample_every", 0) or 0
-    tracing = bool(getattr(args, "trace_out", None))
     trace_requests = getattr(args, "trace_requests", 0) or 0
-    if not (sample_every or tracing or trace_requests
+    if not (sample_every or trace_requests
+            or getattr(args, "trace_out", None)
             or getattr(args, "metrics_out", None)):
         return contextlib.nullcontext(None)
-    return observe(sample_every=sample_every, trace=tracing,
-                   trace_requests=trace_requests)
+    return observe(sample_every=sample_every, trace_requests=trace_requests)
 
 
 def _export_observation(args, observation):
@@ -170,13 +169,11 @@ def _cmd_simulate(args):
     config = MachineConfig.table1()
     expected = scatter_add_reference(np.zeros(args.range), indices, 1.0)
 
+    observation = None
     if args.method == "hardware":
-        run = Simulation(
-            config,
-            sample_every=args.sample_every,
-            trace=bool(args.trace_out),
-            trace_requests=args.trace_requests,
-        ).run("scatter_add", indices, 1.0, num_targets=args.range)
+        with _observe_if_requested(args) as observation:
+            run = Simulation(config).run("scatter_add", indices, 1.0,
+                                         num_targets=args.range)
     elif args.method == "sortscan":
         run = SortScanScatterAdd(config).run(indices, 1.0,
                                              num_targets=args.range)
@@ -199,9 +196,9 @@ def _cmd_simulate(args):
     if args.method == "hardware" and args.trace_requests:
         from repro.harness.report import render_latency_breakdown
 
-        print(render_latency_breakdown(run.latency_breakdown()))
-    if args.method == "hardware":
-        _export_observation(args, run.observation)
+        tracer = observation.scopes[0].request_tracer
+        print(render_latency_breakdown(tracer.breakdown()))
+    _export_observation(args, observation)
     return 0 if exact else 1
 
 

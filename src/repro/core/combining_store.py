@@ -169,14 +169,12 @@ class CombiningTable:
     exactly like combining-store entries past FU issue.
     """
 
-    __slots__ = ("capacity", "merges", "peak_occupancy", "_queue", "_index")
+    __slots__ = ("capacity", "_queue", "_index")
 
     def __init__(self, entries):
         if entries < 1:
             raise ValueError("combining table needs >= 1 entry")
         self.capacity = entries
-        self.merges = 0
-        self.peak_occupancy = 0
         self._queue = deque()
         self._index = {}  # merge key -> waiting MemoryRequest
 
@@ -200,7 +198,6 @@ class CombiningTable:
         if waiting is None:
             return False
         waiting.value = combine(request.op, waiting.value, request.value)
-        self.merges += 1
         return True
 
     def append(self, request):
@@ -210,9 +207,6 @@ class CombiningTable:
         self._queue.append(request)
         if request.op in NETWORK_COMBINABLE_OPS:
             self._index[self.merge_key(request)] = request
-        occupancy = len(self._queue)
-        if occupancy > self.peak_occupancy:
-            self.peak_occupancy = occupancy
 
     def pop(self):
         """Dequeue the oldest request; it can no longer absorb merges."""
@@ -234,6 +228,5 @@ class CombiningTable:
         return bool(self._queue)
 
     def __repr__(self):
-        return "CombiningTable(%d/%d queued, %d merges)" % (
-            len(self._queue), self.capacity, self.merges,
-        )
+        return "CombiningTable(%d/%d queued)" % (
+            len(self._queue), self.capacity)

@@ -52,10 +52,9 @@ class ScatterAddUnit(Component):
     """One scatter-add unit in front of a cache bank or memory interface."""
 
     def __init__(self, sim, config, stats, mem_out, name="sau", chaining=True,
-                 trace=None, tracer=None):
+                 tracer=None):
         super().__init__(name)
         self.stats = stats
-        self.trace = trace
         # Per-request tracer (repro.obs.tracing); also enables the
         # combining-fanout distribution (elements absorbed per active
         # address), which needs per-chain bookkeeping kept off the hot
@@ -131,8 +130,6 @@ class ScatterAddUnit(Component):
         self._send_ack(op, addr, old_value, reply_to, tag, trace=req_trace)
         self._m_sums.inc()
         self._m_fu_sums.inc()
-        if self.trace is not None:
-            self.trace.emit(now, self.name, "sum", addr=addr, result=result)
         pending = self.store.waiting_count(addr)
         if self.chaining and pending:
             self._chained.append((addr, result))
@@ -211,13 +208,7 @@ class ScatterAddUnit(Component):
             if self._chain_absorbed is not None:
                 self._chain_absorbed[request.addr] += 1
             self._m_combined.inc()
-            if self.trace is not None:
-                self.trace.emit(now, self.name, "combine",
-                                addr=request.addr, value=request.value)
             return
-        if self.trace is not None:
-            self.trace.emit(now, self.name, "activate",
-                            addr=request.addr, value=request.value)
         self._active.add(request.addr)
         if self._chain_absorbed is not None:
             self._chain_absorbed[request.addr] = 1

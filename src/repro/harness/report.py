@@ -227,4 +227,8 @@ def render_latency_breakdown(breakdown):
             breakdown["service_cycles"], breakdown["unattributed_cycles"],
         )
     )
+    dropped = breakdown.get("traces_dropped")
+    if dropped:
+        summary += ("; %d traces dropped from the Chrome trace "
+                    "(histograms keep them)" % dropped)
     return table + "\n" + summary

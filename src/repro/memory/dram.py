@@ -292,7 +292,6 @@ class UniformMemory(_MemoryEndpoint):
         self.latency = config.uniform_latency
         self.req_in = sim.fifo(capacity=64, name=name + ".req_in")
         self._free_at = 0
-        self._last_start = -1  # strictly-increasing transaction starts
         self.watch(self.req_in)
         sim.register(self)
 
@@ -302,7 +301,6 @@ class UniformMemory(_MemoryEndpoint):
             request = self.req_in.pop()
             transfer = request.words * self.interval
             self._free_at = now + transfer
-            self._last_start = now
             if request.trace is not None:
                 request.trace.leg(self.name, "dram.queue", now)
                 request.trace.leg(self.name, "dram.burst",
@@ -316,9 +314,8 @@ class UniformMemory(_MemoryEndpoint):
         The fixed-function memory has no rows or banks, so the only
         state that can perturb a window is a transiting request or a
         blocked response: the input FIFO must be idle and no in-flight
-        transaction or response may be pending.  (``_free_at`` and
-        ``_last_start`` are analytic history, honoured by the
-        fast-forward recurrence.)
+        transaction or response may be pending.  (``_free_at`` is
+        analytic history, honoured by the fast-forward recurrence.)
         """
         return self.req_in.idle and not self._due and not self._retry
 

@@ -82,22 +82,18 @@ class MultiNodeSystem:
     sites.
     """
 
-    def __init__(self, config, address_space, obs=None, engine=None,
-                 chaining=True):
+    def __init__(self, config, address_space, engine=None, chaining=True):
         self.config = config
         netcfg = config.network
         self.sim = Simulator(scheduler=engine)
         self.stats = Stats()
-        observation = obs if obs is not None else obs_session.active()
+        observation = obs_session.active()
         self.obs_scope = None
-        trace = None
         tracer = None
         if observation is not None:
             self.obs_scope = observation.attach(
                 self.sim, self.stats,
                 label="multinode%d" % config.nodes, config=config)
-            if observation.trace_enabled:
-                trace = self.obs_scope.tracelog
             tracer = self.obs_scope.request_tracer
         self.memory = MainMemory()
         line = config.cache_line_words
@@ -138,8 +134,7 @@ class MultiNodeSystem:
                 memory=self.memory,
                 chaining=chaining and netcfg.memory_combining,
                 sumback_sink=interface.send_sumback,
-                name="node%d" % node,
-                trace=trace, tracer=tracer,
+                name="node%d" % node, tracer=tracer,
             )
             self.memsystems.append(memsys)
 

@@ -25,7 +25,7 @@ class MemorySystem:
 
     def __init__(self, sim, config, stats, sources, memory=None,
                  chaining=True, sumback_sink=None, name="memsys",
-                 trace=None, tracer=None):
+                 tracer=None):
         self.config = config
         self.stats = stats
         self.memory = memory if memory is not None else MainMemory()
@@ -47,7 +47,7 @@ class MemorySystem:
                     unit = ScatterAddUnit(
                         sim, config, stats, bank.req_in,
                         name="%s.sau%d_%d" % (name, bank_idx, sub),
-                        chaining=chaining, trace=trace, tracer=tracer,
+                        chaining=chaining, tracer=tracer,
                     )
                     self.units.append(unit)
                     sim.register(unit)
@@ -66,7 +66,7 @@ class MemorySystem:
                                       name=name + ".mem")
             unit = ScatterAddUnit(sim, config, stats, self.dram.req_in,
                                   name=name + ".sau0", chaining=chaining,
-                                  trace=trace, tracer=tracer)
+                                  tracer=tracer)
             self.units.append(unit)
             sim.register(unit)
             targets = [unit.req_in]

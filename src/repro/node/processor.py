@@ -39,21 +39,18 @@ class ProgramResult:
 class StreamProcessor:
     """One simulated node executing stream programs."""
 
-    def __init__(self, config, chaining=True, obs=None, engine=None):
+    def __init__(self, config, chaining=True, engine=None):
         self.config = config
         self.sim = Simulator(scheduler=engine)
         self.stats = Stats()
-        # Attach to an explicit observation, or the ambient one installed
-        # by ``repro.obs.observe`` (None -> no instrumentation overhead).
-        observation = obs if obs is not None else obs_session.active()
+        # Attach to the observation installed by ``repro.obs.observe``
+        # (None -> no instrumentation overhead).
+        observation = obs_session.active()
         self.obs_scope = None
-        trace = None
         tracer = None
         if observation is not None:
             self.obs_scope = observation.attach(
                 self.sim, self.stats, label="node", config=config)
-            if observation.trace_enabled:
-                trace = self.obs_scope.tracelog
             tracer = self.obs_scope.request_tracer
         self.agus = [
             self.sim.register(
@@ -65,7 +62,7 @@ class StreamProcessor:
         self.memsys = MemorySystem(
             self.sim, config, self.stats,
             sources=[agu.out for agu in self.agus],
-            chaining=chaining, trace=trace, tracer=tracer,
+            chaining=chaining, tracer=tracer,
         )
         self.clusters = ClusterArray(config, self.stats)
         if self.obs_scope is not None:

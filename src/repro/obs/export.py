@@ -6,9 +6,8 @@ Two machine-readable artifacts per observed run:
   in the Trace Event Format that loads directly into ``chrome://tracing``
   or Perfetto.  Each observation scope becomes one *process* (``pid``),
   each simulated component one *thread* (``tid``, named via ``M`` metadata
-  events).  Stream-program phases export as complete spans (``ph: "X"``),
-  :class:`~repro.sim.trace.TraceLog` events as instants (``ph: "i"``) and
-  sampled timelines as counter tracks (``ph: "C"``).  Timestamps are
+  events).  Stream-program phases export as complete spans (``ph: "X"``)
+  and sampled timelines as counter tracks (``ph: "C"``).  Timestamps are
   simulated cycles (one trace microsecond per cycle).
 - **metrics.json**: the ``Stats`` snapshot (counters, gauges, histograms),
   sampled timelines, the bottleneck ranking and (when request tracing is
@@ -27,8 +26,9 @@ import json
 #: Schema tag written into (and required from) every metrics.json.
 METRICS_SCHEMA = "repro.metrics/1"
 
-#: Chrome trace event phases this exporter emits (s/t/f are the flow
-#: start/step/finish events linking a traced request across threads).
+#: Chrome trace event phases the validator accepts: the ones this
+#: exporter emits (s/t/f are the flow start/step/finish events linking a
+#: traced request across threads) plus ``i``, the format's instant event.
 _PHASES = ("X", "i", "C", "M", "s", "t", "f")
 
 #: Flow-event phases (subset of ``_PHASES``): start, step, finish.
@@ -65,13 +65,6 @@ def chrome_trace_events(observation):
                 "ph": "X", "name": span.name, "cat": "phase",
                 "ts": span.start, "dur": max(span.duration, 1),
                 "pid": pid, "tid": 0,
-            })
-        for event in scope.tracelog.events:
-            events.append({
-                "ph": "i", "name": event.kind, "cat": "event", "s": "t",
-                "ts": event.cycle, "pid": pid,
-                "tid": tid_of(event.component),
-                "args": dict(event.fields),
             })
         for timeline in scope.timelines:
             for cycle, value in zip(timeline.cycles, timeline.values):

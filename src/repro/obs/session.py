@@ -1,39 +1,32 @@
 """Observation sessions: attach metrics, sampling and tracing to a run.
 
 An :class:`Observation` describes *what to observe* (sampling window,
-event tracing); each simulator that runs while it is active attaches an
-:class:`ObservationScope` carrying that simulator's trace log, timeline
-sampler and final statistics.  Scopes map 1:1 onto Chrome-trace *processes*
-(the ``pid`` field), so a sweep that builds many processors exports as a
-multi-process trace.
+request tracing); each simulator that runs while it is active attaches an
+:class:`ObservationScope` carrying that simulator's request tracer,
+timeline sampler and final statistics.  Scopes map 1:1 onto Chrome-trace
+*processes* (the ``pid`` field), so a sweep that builds many processors
+exports as a multi-process trace.
 
-Two ways to use it:
+``with repro.obs.observe(...) as obs:`` installs a process-wide
+session; every :class:`~repro.node.processor.StreamProcessor` and
+:class:`~repro.multinode.system.MultiNodeSystem` constructed inside the
+block attaches automatically.  This is how ``repro run figure8
+--trace-out`` instruments experiment code without threading arguments
+through every layer, and how ``Simulation(config, sample_every=64)``
+observes the machine it builds (its private session shadows any ambient
+one for that build).
 
-- **Explicitly**: ``Simulation(config, sample_every=64, trace=True)``
-  creates a private observation and hands the results back on the
-  returned :class:`~repro.api.ScatterRun`.
-- **Ambiently**: ``with repro.obs.observe(...) as obs:`` installs a
-  process-wide session; every :class:`~repro.node.processor.StreamProcessor`
-  and :class:`~repro.multinode.system.MultiNodeSystem` constructed inside
-  the block attaches automatically.  This is how ``repro run figure8
-  --trace-out`` instruments experiment code without threading arguments
-  through every layer.
-
-When no session is active and none is passed, nothing attaches and the
-simulation hot path is untouched.
+When no session is active, nothing attaches and the simulation hot path
+is untouched.
 """
 
 from contextlib import contextmanager
 
 from repro.obs.sampling import TimelineSampler, gather_probes
 from repro.obs.tracing import RequestTracer
-from repro.sim.trace import TraceLog
 
 #: The ambient observation installed by :func:`observe`, or ``None``.
 _ACTIVE = None
-
-#: Events each scope's :class:`~repro.sim.trace.TraceLog` keeps.
-TRACE_CAPACITY = 100_000
 
 
 def active():
@@ -42,10 +35,10 @@ def active():
 
 
 @contextmanager
-def observe(sample_every=0, trace=False, trace_requests=0):
+def observe(sample_every=0, trace_requests=0):
     """Install an ambient observation for the duration of the block."""
     global _ACTIVE
-    observation = Observation(sample_every=sample_every, trace=trace,
+    observation = Observation(sample_every=sample_every,
                               trace_requests=trace_requests)
     previous = _ACTIVE
     _ACTIVE = observation
@@ -83,9 +76,6 @@ class ObservationScope:
         self.spans = []
         self.sampler = None
         self._cycles = None  # override for scopes detached from a simulator
-        self.tracelog = TraceLog(enabled=observation.trace_enabled,
-                                 capacity=TRACE_CAPACITY,
-                                 stats=stats)
         # Per-request lifecycle tracer (repro.obs.tracing): sampled 1-in-N
         # span tracing; None keeps every hot-path `trace is None` check a
         # single attribute load with no tracer object alive.
@@ -136,9 +126,8 @@ class ObservationScope:
 class Observation:
     """What to observe, plus every scope collected while observing."""
 
-    def __init__(self, sample_every=0, trace=False, trace_requests=0):
+    def __init__(self, sample_every=0, trace_requests=0):
         self.sample_every = int(sample_every or 0)
-        self.trace_enabled = bool(trace)
         #: Sample one request in every N for lifecycle span tracing
         #: (0 = off; see repro.obs.tracing).
         self.trace_requests = int(trace_requests or 0)
@@ -152,5 +141,5 @@ class Observation:
         return scope
 
     def __repr__(self):
-        return "Observation(sample_every=%d, trace=%r, %d scopes)" % (
-            self.sample_every, self.trace_enabled, len(self.scopes))
+        return ("Observation(sample_every=%d, trace_requests=%d, %d scopes)"
+                % (self.sample_every, self.trace_requests, len(self.scopes)))

@@ -253,6 +253,7 @@ class RequestTracer:
             "service_cycles": rollup["service"],
             "unattributed_cycles": e2e_cycles - attributed,
             "combine_fanout": self._fanout.as_dict(),
+            "traces_dropped": self.dropped,
         }
 
     def __repr__(self):

@@ -30,7 +30,6 @@ from repro.sim.engine import (
 )
 from repro.sim.queues import FIFO, LatencyPipe
 from repro.sim.stats import Stats
-from repro.sim.trace import TraceEvent, TraceLog
 
 __all__ = [
     "Component",
@@ -39,7 +38,5 @@ __all__ = [
     "SimulationError",
     "Simulator",
     "Stats",
-    "TraceEvent",
-    "TraceLog",
     "use_scheduler",
 ]

@@ -18,9 +18,9 @@ with no engine involvement.
    store (no insert/evict boundary, see
    :meth:`~repro.core.combining_store.CombiningStore.window_uniform`),
    idle FU, fusable memory (no DRAM transaction in flight), no pending
-   timed engine operations, no observation hooks (live probes, request
-   tracing and the event tracelog read intermediate state at exact
-   cycles, so observed runs step on the event loop).  Anything
+   timed engine operations, no observation hooks (live probes and
+   request tracing read intermediate state at exact cycles, so observed
+   runs step on the event loop).  Anything
    unsupported declines, mutating nothing.
 2. **Visited-cycle replay** (:meth:`_replay`): handlers replicate the
    per-component tick semantics in exact registration order (AGUs,
@@ -28,7 +28,7 @@ with no engine involvement.
    visited cycle the next candidate event cycle is derived from the
    pending state (FU head completion, token availability under the
    single-issue gate, request commit cycles, memory service starts from
-   the max-plus recurrence ``start = max(commit, last_start + interval)``).
+   the max-plus recurrence ``start = max(commit, free_at)``).
    Cycles between candidates are provably frozen; per-cycle counters that
    accumulate across them (router head-of-line blocks) are charged for
    the gap in closed form, exactly like the event scheduler's retro
@@ -134,7 +134,7 @@ class PipelineFastForward:
             # CacheBank.uniform_window_ready predicate exists for them);
             # the replay only models the uniform pipeline.
             return False
-        if sim.live_probes or unit.trace is not None or unit.tracer is not None:
+        if sim.live_probes or unit.tracer is not None:
             return False  # observation hooks read intermediate state
         if not unit.chaining:
             return False  # memory round-trip ablation: steps on event
@@ -234,7 +234,7 @@ class PipelineFastForward:
         mem_read = memory.read_word
         m_interval = mem.interval
         m_latency = mem.latency
-        m_state = [mem._free_at, mem._last_start]
+        m_free_at = mem._free_at
         mem_cap = mem.req_in.capacity
         mem_inq = deque()  # start cycles of queued/occupying transactions
         overlay = {}       # functional write overlay, applied at commit
@@ -246,18 +246,14 @@ class PipelineFastForward:
 
             ``reply_kind``: 0 fire-and-forget write, 1 value read for the
             unit's token path, 2 response to the issuing AGU.  Exact per
-            the scalar model: one transaction start per cycle, FIFO
-            order, ``start = max(commit, free_at, last_start + 1)``,
-            apply-at-done (starts strictly increase, so applying in push
-            order *is* applying in done order).
+            the scalar model: FIFO order, ``start = max(commit, free_at)``
+            with ``free_at = start + interval``, apply-at-done (the
+            interval is at least one cycle, so starts strictly increase
+            and applying in push order *is* applying in done order).
             """
-            nonlocal max_done
-            free_at, last_start = m_state
-            start = commit if commit > free_at else free_at
-            if start <= last_start:
-                start = last_start + 1
-            m_state[0] = start + m_interval
-            m_state[1] = start
+            nonlocal max_done, m_free_at
+            start = commit if commit > m_free_at else m_free_at
+            m_free_at = start + m_interval
             done = start + m_interval + m_latency
             if done > max_done:
                 max_done = done
@@ -610,8 +606,7 @@ class PipelineFastForward:
             mem._m_write_words.inc(mem_counts[1])
         if mem_counts[2]:
             mem._m_busy_cycles.inc(mem_counts[2])
-        mem._free_at = m_state[0]
-        mem._last_start = m_state[1]
+        mem._free_at = m_free_at
         write_word = memory.write_word
         for addr, value in overlay.items():
             write_word(addr, value)

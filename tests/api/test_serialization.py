@@ -110,12 +110,12 @@ class TestMetricsIdentity:
         """The saved observation settings reach the reloaded metrics.json.
 
         A Fig. 8 histogram (Table 1 machine, uniform random indices)
-        sampled, traced and request-traced: the reloaded run must write
+        sampled and request-traced: the reloaded run must write
         the live run's label, ``sample_every`` and ``trace_requests``.
         """
         indices = np.random.default_rng(8).integers(0, 512, size=1500)
         sim = Simulation(MachineConfig.table1(), sample_every=64,
-                         trace=True, trace_requests=7)
+                         trace_requests=7)
         live_run = sim.run("scatter_add", indices, 1.0, num_targets=512)
         live_run.write_metrics(tmp_path / "live.json")
         loaded = ScatterRun.load(live_run.save(tmp_path / "run.json"))
@@ -132,7 +132,7 @@ class TestMetricsIdentity:
         assert scopes["run"]["bottlenecks"]
 
     @pytest.mark.parametrize("observe", [
-        dict(sample_every=64, trace=True, trace_requests=7),
+        dict(sample_every=64, trace_requests=7),
         dict(trace_requests=3),
     ], ids=["sampled-traced", "request-traced"])
     @pytest.mark.parametrize("config", [

@@ -62,8 +62,14 @@ class TestCombiningTable:
         table.append(first)
         assert table.try_merge(MemoryRequest(OP_SCATTER_ADD, 7, 3.0))
         assert first.value == 5.0
-        assert table.merges == 1
         assert len(table) == 1
+        # In a switch, each merge is one ``combined_in_flight`` count.
+        sim, __, inputs, outputs, stats = make_switch(bw=1)
+        inputs[0].push(MemoryRequest(OP_SCATTER_ADD, 20, 2.0))
+        inputs[1].push(MemoryRequest(OP_SCATTER_ADD, 20, 3.0))
+        sim.run_cycles(20)
+        assert [r.value for r in outputs[1].drain()] == [5.0]
+        assert stats.get("sim.network.combined_in_flight") == 1
 
     @pytest.mark.parametrize("op,values,expected", [
         (OP_SCATTER_MIN, (5.0, 3.0, 7.0), 3.0),

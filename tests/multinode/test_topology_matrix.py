@@ -1,11 +1,12 @@
 """CI topology axis: the multi-node stack under a selectable interconnect.
 
-CI's engine-matrix jobs export ``REPRO_NET_TOPOLOGY`` (``crossbar`` or
-``tree4``); locally the suite runs the crossbar by default.  Whatever the
+``REPRO_NET_TOPOLOGY`` (``crossbar`` or ``tree4``) selects the
+interconnect; unset, it is the crossbar.  CI's tier-1 jobs run the whole
+suite on the crossbar, then this file again with ``tree4``.  Whatever the
 topology, the multi-node system must produce exact results, all four
 schedulers must agree on the cycle count, and the combining counters must
-balance -- so a topology regression fails every job of that matrix row,
-not just a hand-picked test.
+balance -- so a topology regression fails every test here, not just a
+hand-picked one.
 """
 
 import os

@@ -19,7 +19,7 @@ from repro.obs.validate import main as validate_main
 @pytest.fixture
 def traced_run(rng):
     indices = rng.integers(0, 64, size=300)
-    sim = Simulation(sample_every=32, trace=True)
+    sim = Simulation(sample_every=32, trace_requests=8)
     return sim.run("scatter_add", indices, 1.0, num_targets=64)
 
 
@@ -31,12 +31,12 @@ class TestChromeTrace:
         events = payload["traceEvents"]
         assert events, "trace must not be empty"
         for event in events:
-            assert event["ph"] in ("X", "i", "C", "M")
+            assert event["ph"] in ("X", "C", "M", "s", "t", "f")
             assert isinstance(event["ts"], (int, float))
             assert "pid" in event
-        # At least one phase span, one instant, one counter sample.
+        # At least one span, one counter sample and one flow arrow.
         phases = {event["ph"] for event in events}
-        assert {"X", "i", "C", "M"} <= phases
+        assert {"X", "C", "M", "s", "f"} <= phases
 
     def test_process_and_thread_metadata(self, traced_run, tmp_path):
         path = tmp_path / "out.trace.json"
@@ -245,7 +245,7 @@ class TestAmbientObservation:
         from repro.workloads.histogram import HistogramWorkload
 
         workload = HistogramWorkload(length=200, index_range=64, seed=1)
-        with observe(sample_every=64, trace=True) as observation:
+        with observe(sample_every=64) as observation:
             workload.run_hardware(MachineConfig.table1())
         assert observation.scopes, "StreamProcessor should auto-attach"
         scope = observation.scopes[0]
@@ -255,6 +255,6 @@ class TestAmbientObservation:
     def test_no_ambient_session_outside_block(self):
         from repro.obs import session
 
-        with observe(trace=True):
+        with observe(trace_requests=4):
             assert session.active() is not None
         assert session.active() is None

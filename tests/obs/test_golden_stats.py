@@ -26,8 +26,7 @@ class TestGoldenStats:
         assert first == second
 
     def test_observation_does_not_change_as_dict(self):
-        # Sampling and tracing add no model counters and change no values
-        # (``trace.dropped`` appears only if events are actually dropped).
+        # Sampling adds no model counters and changes no values.
         # Only the ``engine.*`` scheduler bookkeeping may differ: the
         # sampler is one extra component, so it legitimately runs ticks.
         def model_counters(values):
@@ -35,8 +34,7 @@ class TestGoldenStats:
                     if not name.startswith("engine.")}
 
         plain = _figure8_run().stats.as_dict()
-        observed = _figure8_run(sample_every=64,
-                                trace=True).stats.as_dict()
+        observed = _figure8_run(sample_every=64).stats.as_dict()
         assert model_counters(observed) == model_counters(plain)
 
     def test_request_tracing_is_bit_identical(self):

@@ -16,7 +16,7 @@ from repro.config import MachineConfig, NetworkConfig
 from repro.harness.report import latency_breakdown, render_latency_breakdown
 from repro.multinode.system import MultiNodeSystem
 from repro.obs.export import chrome_trace_events, validate_chrome_trace
-from repro.obs.session import Observation
+from repro.obs.session import observe
 from repro.obs.tracing import STAGE_KINDS, RequestTrace, RequestTracer
 from repro.sim.stats import Stats
 
@@ -58,8 +58,11 @@ class TestSampling:
             trace.finish(4)
         assert len(tracer.traces) == 3
         assert tracer.dropped == 2
-        # histograms still see every trace
-        assert tracer.breakdown()["requests"] == 5
+        # histograms still see every trace, and the drop is reported
+        breakdown = tracer.breakdown()
+        assert breakdown["requests"] == 5
+        assert breakdown["traces_dropped"] == 2
+        assert "2 traces dropped" in render_latency_breakdown(breakdown)
 
 
 class TestLegPartition:
@@ -212,8 +215,8 @@ class TestMultiNodeTracing:
     def _run(self, rng, **config_kwargs):
         config = MachineConfig(network=NetworkConfig(nodes=4, link_bw_words=2),
                                **config_kwargs)
-        observation = Observation(trace_requests=5)
-        system = MultiNodeSystem(config, address_space=4096, obs=observation)
+        with observe(trace_requests=5) as observation:
+            system = MultiNodeSystem(config, address_space=4096)
         indices = rng.integers(0, 4096, size=800)
         run = system.scatter_add(indices, 1.0, num_targets=4096)
         reference = np.zeros(4096)
@@ -238,8 +241,43 @@ class TestMultiNodeTracing:
         config = MachineConfig(network=NetworkConfig(nodes=2, link_bw_words=2))
         indices = rng.integers(0, 2048, size=400)
 
-        def cycles(obs):
-            system = MultiNodeSystem(config, address_space=2048, obs=obs)
+        def cycles():
+            system = MultiNodeSystem(config, address_space=2048)
             return system.scatter_add(indices, 1.0, num_targets=2048).cycles
 
-        assert cycles(None) == cycles(Observation(trace_requests=3))
+        plain = cycles()
+        with observe(trace_requests=3) as observation:
+            traced = cycles()
+        assert observation.scopes[0].request_tracer.traces
+        assert plain == traced
+
+
+class TestUnitTracing:
+    """The Figure 5 flow of one scatter-add unit, read off request spans."""
+
+    def test_unit_flow_in_request_spans(self):
+        # Four updates to one address: the first activates it and reads
+        # memory (its trace carries the memory legs); the other three
+        # combine in the store and never reach memory.  Every update is
+        # retired by exactly one FU addition.
+        run = Simulation(MachineConfig.uniform(), trace_requests=1).run(
+            "scatter_add", [5] * 4, 1.0, num_targets=8)
+        traces = _tracer_of(run).traces
+        assert len(traces) == 4
+        with_memory = [trace for trace in traces
+                       if any(span.stage.startswith("dram.")
+                              for span in trace.spans)]
+        assert len(with_memory) == 1
+        for trace in traces:
+            assert [span.stage for span in trace.spans].count("fu") == 1
+            assert trace.addr == 5
+        assert run.result[5] == 4.0
+
+    def test_tracing_does_not_change_results(self):
+        indices = [i % 3 for i in range(30)]
+        plain = Simulation(MachineConfig.uniform()).run(
+            "scatter_add", indices, 1.0, num_targets=3)
+        traced = Simulation(MachineConfig.uniform(), trace_requests=1).run(
+            "scatter_add", indices, 1.0, num_targets=3)
+        assert np.array_equal(traced.result, plain.result)
+        assert traced.cycles == plain.cycles
